@@ -33,89 +33,120 @@ impl Activation {
         }
     }
 
-    /// Derivative `f'(x)` expressed in terms of the *pre-activation* value.
+    /// Derivative `f'` expressed in terms of the activation's *output*
+    /// `h = f(x)`: `1` for identity, `h > 0` for ReLU, `1 − h²` for tanh and
+    /// `h(1 − h)` for sigmoid.  Backprop reads `h` from the forward cache, so
+    /// it never evaluates the activation a second time.
     #[inline]
-    pub fn derivative_scalar(self, x: f64) -> f64 {
+    pub fn derivative_from_output(self, h: f64) -> f64 {
         match self {
             Activation::Identity => 1.0,
             Activation::Relu => {
-                if x > 0.0 {
+                if h > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            Activation::Sigmoid => {
-                let s = 1.0 / (1.0 + (-x).exp());
-                s * (1.0 - s)
-            }
+            Activation::Tanh => 1.0 - h * h,
+            Activation::Sigmoid => h * (1.0 - h),
         }
     }
 
     /// Applies the activation element-wise to a matrix.
     pub fn apply(self, m: &DenseMatrix) -> DenseMatrix {
-        m.map(|v| self.apply_scalar(v))
+        let mut out = m.clone();
+        self.apply_in_place(&mut out);
+        out
     }
 
     /// Applies the activation element-wise, writing into `out` (resized as
     /// needed, reusing its allocation).
     pub fn apply_into(self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        out.map_from(m, |v| self.apply_scalar(v));
+        out.copy_from(m);
+        self.apply_in_place(out);
     }
 
-    /// Element-wise derivative evaluated at the pre-activation matrix.
-    pub fn derivative(self, pre_activation: &DenseMatrix) -> DenseMatrix {
-        pre_activation.map(|v| self.derivative_scalar(v))
+    /// Applies the activation element-wise in place — the encoder's forward
+    /// pass turns each layer's pre-activation `Z_l` into `H^l` this way.
+    pub fn apply_in_place(self, m: &mut DenseMatrix) {
+        // One loop per arm, with the `match` outside the element loop.
+        let data = m.data_mut();
+        match self {
+            Activation::Identity => {}
+            Activation::Relu => data
+                .iter_mut()
+                .for_each(|v| *v = Activation::Relu.apply_scalar(*v)),
+            Activation::Tanh => data
+                .iter_mut()
+                .for_each(|v| *v = Activation::Tanh.apply_scalar(*v)),
+            Activation::Sigmoid => data
+                .iter_mut()
+                .for_each(|v| *v = Activation::Sigmoid.apply_scalar(*v)),
+        }
     }
 
-    /// Fused backprop step: `dz[i] = grad_out[i] * f'(pre_activation[i])` in
-    /// one traversal, writing into `dz` (resized as needed).
+    /// Fused backprop step: `dz[i] = grad_out[i] * f'(x[i])` in one
+    /// traversal, writing into `dz` (resized as needed).  `f'` is taken from
+    /// the activated `output[i] = f(x[i])` of the forward pass (see
+    /// [`Activation::derivative_from_output`]).
     ///
-    /// Replaces the two-pass `derivative` + `hadamard` sequence (which
-    /// materialised the derivative matrix) on the training hot path.
     /// `Identity` and `Relu` route through the ISA-dispatched kernels in
     /// `htc_linalg::kernels` (a copy and a masked select — bit-identical to
-    /// the scalar loop on every ISA); `Tanh` and `Sigmoid` stay on the scalar
-    /// path because their derivatives are transcendental (`tanh`/`exp` have
-    /// no vector form in core Rust) and a polynomial approximation would
-    /// break the cross-ISA determinism contract.
+    /// the scalar loop on every ISA; `relu(x) > 0` exactly when `x > 0`).
+    /// `Tanh` and `Sigmoid` are plain element loops of `+ − ×`.
     ///
     /// # Panics
     /// Panics if the two input shapes differ.
-    pub fn backprop_into(
-        self,
-        pre_activation: &DenseMatrix,
-        grad_out: &DenseMatrix,
-        dz: &mut DenseMatrix,
-    ) {
+    pub fn backprop_into(self, output: &DenseMatrix, grad_out: &DenseMatrix, dz: &mut DenseMatrix) {
         assert_eq!(
-            pre_activation.shape(),
+            output.shape(),
             grad_out.shape(),
-            "pre-activation and output gradient must have the same shape"
+            "activation output and output gradient must have the same shape"
         );
+        let (rows, cols) = grad_out.shape();
         match self {
             Activation::Identity => dz.copy_from(grad_out),
             Activation::Relu => {
                 // Shape only — the kernel writes every element of dz.
-                let (rows, cols) = grad_out.shape();
                 dz.resize_for_overwrite(rows, cols);
                 (htc_linalg::kernels::active().relu_backprop)(
-                    pre_activation.data(),
+                    output.data(),
                     grad_out.data(),
                     dz.data_mut(),
                 );
             }
-            Activation::Tanh | Activation::Sigmoid => {
-                dz.copy_from(grad_out);
-                for (d, &z) in dz.data_mut().iter_mut().zip(pre_activation.data()) {
-                    *d *= self.derivative_scalar(z);
-                }
+            Activation::Tanh => {
+                dz.resize_for_overwrite(rows, cols);
+                scale_by_derivative(output, grad_out, dz, |h| {
+                    Activation::Tanh.derivative_from_output(h)
+                });
+            }
+            Activation::Sigmoid => {
+                dz.resize_for_overwrite(rows, cols);
+                scale_by_derivative(output, grad_out, dz, |h| {
+                    Activation::Sigmoid.derivative_from_output(h)
+                });
             }
         }
+    }
+}
+
+/// `dz[i] = grad_out[i] * derivative(output[i])` over same-shape matrices.
+#[inline(always)]
+fn scale_by_derivative(
+    output: &DenseMatrix,
+    grad_out: &DenseMatrix,
+    dz: &mut DenseMatrix,
+    derivative: impl Fn(f64) -> f64,
+) {
+    for ((d, &h), &g) in dz
+        .data_mut()
+        .iter_mut()
+        .zip(output.data())
+        .zip(grad_out.data())
+    {
+        *d = g * derivative(h);
     }
 }
 
@@ -132,18 +163,47 @@ mod tests {
         assert!((Activation::Sigmoid.apply_scalar(0.0) - 0.5).abs() < 1e-12);
     }
 
+    const ALL: [Activation; 4] = [
+        Activation::Identity,
+        Activation::Relu,
+        Activation::Tanh,
+        Activation::Sigmoid,
+    ];
+
+    /// The pre-activation form of `f'` that backprop used before it read the
+    /// cached output — kept as the oracle for `derivative_from_output`.
+    fn derivative_at_pre_activation(act: Activation, x: f64) -> f64 {
+        match act {
+            Activation::Identity => 1.0,
+            Activation::Relu => {
+                if x > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::Tanh => {
+                let t = Activation::Tanh.apply_scalar(x);
+                1.0 - t * t
+            }
+            Activation::Sigmoid => {
+                let s = Activation::Sigmoid.apply_scalar(x);
+                s * (1.0 - s)
+            }
+        }
+    }
+
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
     #[test]
     fn derivative_matches_finite_difference() {
         let eps = 1e-6;
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-        ] {
+        for act in ALL {
             for &x in &[-1.7, -0.3, 0.4, 1.9] {
                 let numeric = (act.apply_scalar(x + eps) - act.apply_scalar(x - eps)) / (2.0 * eps);
-                let analytic = act.derivative_scalar(x);
+                let analytic = act.derivative_from_output(act.apply_scalar(x));
                 assert!(
                     (numeric - analytic).abs() < 1e-5,
                     "{act:?} at {x}: {numeric} vs {analytic}"
@@ -157,7 +217,7 @@ mod tests {
         let m = DenseMatrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]).unwrap();
         let relu = Activation::Relu.apply(&m);
         assert_eq!(relu.data(), &[0.0, 0.0, 2.0]);
-        let grad = Activation::Relu.derivative(&m);
+        let grad = relu.map(|h| Activation::Relu.derivative_from_output(h));
         assert_eq!(grad.data(), &[0.0, 0.0, 1.0]);
     }
 
@@ -165,16 +225,61 @@ mod tests {
     fn fused_backprop_matches_two_pass() {
         let z = DenseMatrix::from_vec(2, 2, vec![-1.0, 0.5, 2.0, -0.2]).unwrap();
         let g = DenseMatrix::from_vec(2, 2, vec![0.3, -0.7, 1.1, 0.9]).unwrap();
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-        ] {
-            let two_pass = g.hadamard(&act.derivative(&z)).unwrap();
+        for act in ALL {
+            let h = act.apply(&z);
+            let derivative = h.map(|v| act.derivative_from_output(v));
+            let two_pass = g.hadamard(&derivative).unwrap();
             let mut fused = DenseMatrix::zeros(0, 0);
-            act.backprop_into(&z, &g, &mut fused);
+            act.backprop_into(&h, &g, &mut fused);
             assert!(fused.approx_eq(&two_pass, 0.0), "{act:?}");
+        }
+    }
+
+    /// Backprop from the cached output gives the same bits as the
+    /// pre-activation formula, on random and special inputs.
+    #[test]
+    fn output_form_backprop_matches_pre_activation_form() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut xs: Vec<f64> = (0..4000)
+            .map(|i| {
+                let scale = [1e-300, 1e-8, 0.5, 3.0, 30.0, 800.0][i % 6];
+                rng.gen_range(-1.0..1.0) * scale
+            })
+            .collect();
+        xs.extend([
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ]);
+        let n = xs.len();
+        let z = DenseMatrix::from_vec(1, n, xs).unwrap();
+        let g =
+            DenseMatrix::from_vec(1, n, (0..n).map(|i| 0.25 + i as f64 * 1e-3).collect()).unwrap();
+        for act in ALL {
+            let h = act.apply(&z);
+            let mut dz = DenseMatrix::zeros(0, 0);
+            act.backprop_into(&h, &g, &mut dz);
+            for i in 0..n {
+                let (x, hv) = (z.data()[i], h.data()[i]);
+                let old = derivative_at_pre_activation(act, x);
+                assert!(
+                    same_bits(act.derivative_from_output(hv), old),
+                    "{act:?} f' at {x:e}"
+                );
+                assert!(
+                    same_bits(dz.data()[i], g.data()[i] * old),
+                    "{act:?} backprop at {x:e}"
+                );
+            }
         }
     }
 

@@ -29,13 +29,10 @@ use rand::rngs::StdRng;
 pub struct ForwardCache {
     /// Propagated inputs `P_l = L̃ · H^{l-1}` for every layer.
     propagated: Vec<DenseMatrix>,
-    /// Pre-activations `Z_l = P_l · W^l` for every layer.
-    pre_activations: Vec<DenseMatrix>,
-    /// Final output `H^L`.
-    output: DenseMatrix,
-    /// Ping buffer for the intermediate hidden states `H^1 … H^{L-1}` (only
-    /// one is live at a time during a forward sweep).
-    hidden: DenseMatrix,
+    /// Activated outputs `H^l = f_l(Z_l)` for every layer, each computed in
+    /// place over its pre-activation `Z_l = P_l · W^l`.  Backprop takes
+    /// `f_l'` from these, and the last one is the embedding.
+    activated: Vec<DenseMatrix>,
 }
 
 impl ForwardCache {
@@ -45,15 +42,19 @@ impl ForwardCache {
     }
 
     /// The final embedding of this forward pass.
+    ///
+    /// # Panics
+    /// Panics if no forward pass has written the cache yet.
     pub fn output(&self) -> &DenseMatrix {
-        &self.output
+        self.activated
+            .last()
+            .expect("a forward pass must fill the cache before its output is read")
     }
 
     /// Ensures the per-layer vectors hold exactly `layers` entries.
     fn ensure_layers(&mut self, layers: usize) {
         self.propagated.resize(layers, DenseMatrix::zeros(0, 0));
-        self.pre_activations
-            .resize(layers, DenseMatrix::zeros(0, 0));
+        self.activated.resize(layers, DenseMatrix::zeros(0, 0));
     }
 }
 
@@ -231,7 +232,11 @@ impl GcnEncoder {
         propagator: &CsrMatrix,
         features: &DenseMatrix,
     ) -> Result<DenseMatrix, LinalgError> {
-        Ok(self.forward_cached(propagator, features)?.output)
+        let mut cache = self.forward_cached(propagator, features)?;
+        Ok(cache
+            .activated
+            .pop()
+            .expect("an encoder has at least one layer"))
     }
 
     /// Like [`GcnEncoder::forward`], but writes into a caller-owned cache and
@@ -245,7 +250,7 @@ impl GcnEncoder {
         cache: &'c mut ForwardCache,
     ) -> Result<&'c DenseMatrix, LinalgError> {
         self.forward_cached_into(propagator, features, cache)?;
-        Ok(&cache.output)
+        Ok(cache.output())
     }
 
     /// Forward pass that also records the intermediate quantities needed by
@@ -273,26 +278,16 @@ impl GcnEncoder {
         cache.ensure_layers(layers);
         let ForwardCache {
             propagated,
-            pre_activations,
-            output,
-            hidden,
+            activated,
         } = cache;
         for l in 0..layers {
             // P_l = L̃ · H^{l-1} (layer 0 reads the features directly).
-            if l == 0 {
-                propagator.matmul_dense_into(features, &mut propagated[0])?;
-            } else {
-                propagator.matmul_dense_into(hidden, &mut propagated[l])?;
-            }
-            // Z_l = P_l · W^l.
-            propagated[l].matmul_into(&self.weights[l], &mut pre_activations[l])?;
-            // H^l = f_l(Z_l); the last layer writes the output slot.
-            let dst = if l + 1 == layers {
-                &mut *output
-            } else {
-                &mut *hidden
-            };
-            self.activations[l].apply_into(&pre_activations[l], dst);
+            let (done, rest) = activated.split_at_mut(l);
+            let input = if l == 0 { features } else { &done[l - 1] };
+            propagator.matmul_dense_into(input, &mut propagated[l])?;
+            // Z_l = P_l · W^l, then H^l = f_l(Z_l) in place.
+            propagated[l].matmul_into(&self.weights[l], &mut rest[0])?;
+            self.activations[l].apply_in_place(&mut rest[0]);
         }
         Ok(())
     }
@@ -338,8 +333,9 @@ impl GcnEncoder {
         let BackwardScratch { grad_h, dz, dz_w } = scratch;
         grad_h.copy_from(grad_output);
         for l in (0..layers).rev() {
-            // dZ_l = dH_l ∘ f'(Z_l), fused into one traversal.
-            self.activations[l].backprop_into(&cache.pre_activations[l], grad_h, dz);
+            // dZ_l = dH_l ∘ f'(Z_l), fused into one traversal, with f' taken
+            // from the cached H^l.
+            self.activations[l].backprop_into(&cache.activated[l], grad_h, dz);
             // dW_l = P_lᵀ dZ_l, without materialising the transpose.
             cache.propagated[l].transposed_matmul_into(dz, &mut grads[l])?;
             if l > 0 {
