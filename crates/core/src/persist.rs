@@ -17,7 +17,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"HTCB"
-//! 4       2     format version (currently 1)
+//! 4       2     format version (currently 2)
 //! 6       1     artifact kind  (1 = encoder, 2 = topology views, 3 = top-k rows)
 //! 7       ...   kind-specific payload
 //! ```
@@ -40,7 +40,10 @@ use htc_orbits::{GomSet, GomWeighting};
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"HTCB";
-const FORMAT_VERSION: u16 = 1;
+/// Version 2: encoders trained with the in-repo `tanh`/sigmoid of `htc-nn`.
+/// Version-1 artifacts were trained under the host's libm and would not
+/// reproduce a fresh training run bit for bit, so they are rejected.
+const FORMAT_VERSION: u16 = 2;
 const KIND_ENCODER: u8 = 1;
 const KIND_VIEWS: u8 = 2;
 const KIND_TOPK: u8 = 3;
@@ -688,6 +691,28 @@ mod tests {
 
         let err = TrainedEncoder::load(artifact_path("does-not-exist.bin")).unwrap_err();
         assert!(matches!(err, HtcError::Io(_)), "{err}");
+    }
+
+    /// Artifacts of format version 1 (encoders trained under libm `tanh`)
+    /// are rejected, so a cache rebuilds them instead of serving them.
+    #[test]
+    fn version_1_artifacts_are_rejected() {
+        let path = artifact_path("version-1.bin");
+        let weights = vec![DenseMatrix::zeros(2, 3)];
+        let encoder = GcnEncoder::from_weights(weights, vec![Activation::Tanh]);
+        TrainedEncoder::from_parts(encoder, vec![0.5])
+            .save(&path)
+            .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = TrainedEncoder::load(&path).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unsupported artifact format version 1 (this build reads 2)"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     /// Every prefix of a valid artifact must decode to an error — never a
