@@ -50,7 +50,9 @@ use crate::laplacian::{normalized_adjacency, orbit_laplacians};
 use crate::lisi::lisi_matrix;
 use crate::persist;
 use crate::pipeline::{stages, AlignmentArtifact, HtcResult};
-use crate::training::{train_multi_orbit_observed, train_single_graph_observed, TrainedModel};
+use crate::training::{
+    first_equal, train_multi_orbit_observed, train_single_graph_observed, TrainedModel,
+};
 use crate::Result;
 use htc_graph::AttributedNetwork;
 use htc_linalg::parallel::parallel_task_map;
@@ -98,6 +100,12 @@ pub trait ProgressObserver: Send + Sync {
     /// One fine-tuning refinement iteration finished for `_orbit` with
     /// `_trusted_pairs` trusted pairs.  Return `false` to cancel.  Orbits
     /// refine on pool workers, so different orbits' events may interleave.
+    ///
+    /// It fires for each distinct orbit pair only: an orbit whose source and
+    /// target propagators equal an earlier orbit's bit for bit is not
+    /// refined again (it takes that orbit's outcome), so no iteration fires
+    /// for it.  Iteration counts therefore drop on sparse graphs, where many
+    /// orbits never occur, while the trusted-pair counts stay the same.
     fn on_finetune_iteration(
         &self,
         _orbit: usize,
@@ -468,6 +476,8 @@ impl TrainedEncoder {
 #[derive(Debug, Clone)]
 pub struct OrbitRefinements {
     refinements: Vec<OrbitRefinement>,
+    /// Per orbit, the first orbit with bit-for-bit equal propagators.
+    classes: Vec<usize>,
 }
 
 impl OrbitRefinements {
@@ -955,7 +965,7 @@ fn align_with_shared_encoder(
         Ok(Propagators::build(&target_views))
     })?;
 
-    let (refinements, _) = run_stage(observer, &mut timer, stages::FINE_TUNING, || {
+    let ((refinements, classes), _) = run_stage(observer, &mut timer, stages::FINE_TUNING, || {
         refine_all_orbits(
             encoder.encoder(),
             source_propagators,
@@ -974,6 +984,7 @@ fn align_with_shared_encoder(
         Ok(integrate_refinements_artifact(
             config,
             &refinements,
+            &classes,
             &gamma,
             source.num_nodes(),
             target.num_nodes(),
@@ -1003,6 +1014,11 @@ fn align_with_shared_encoder(
 /// Stage 4 over every orbit: refinements run as coarse tasks on the shared
 /// worker pool, collected in orbit order so the outcome is identical to the
 /// sequential loop for every thread count.
+///
+/// Only the first orbit of each class of bit-for-bit equal `(source, target)`
+/// propagator pairs is refined; its duplicates take copies of its outcome,
+/// which is what refining them would produce.  Returns the refinements in
+/// orbit order with each orbit's class (the index of its first equal orbit).
 fn refine_all_orbits(
     encoder: &GcnEncoder,
     source_propagators: &Propagators,
@@ -1011,7 +1027,7 @@ fn refine_all_orbits(
     target_attrs: &DenseMatrix,
     config: &HtcConfig,
     observer: Option<&Arc<dyn ProgressObserver>>,
-) -> Result<Vec<OrbitRefinement>> {
+) -> Result<(Vec<OrbitRefinement>, Vec<usize>)> {
     let source_laps = source_propagators.laplacians();
     let target_laps = target_propagators.laplacians();
     assert_eq!(
@@ -1019,7 +1035,11 @@ fn refine_all_orbits(
         target_laps.len(),
         "both graphs must expose the same number of topological views"
     );
-    parallel_task_map(source_laps.len(), |k| {
+    let pairs: Vec<(&CsrMatrix, &CsrMatrix)> = source_laps.iter().zip(target_laps).collect();
+    let class = first_equal(&pairs, |a, b| a.0.bit_eq(b.0) && a.1.bit_eq(b.1));
+    let firsts: Vec<usize> = (0..class.len()).filter(|&k| class[k] == k).collect();
+    let outcomes = parallel_task_map(firsts.len(), |r| {
+        let k = firsts[r];
         refine_orbit_observed(
             encoder,
             &source_laps[k],
@@ -1030,9 +1050,25 @@ fn refine_all_orbits(
             k,
             observer,
         )
-    })
-    .into_iter()
-    .collect()
+    });
+    let mut refined: Vec<Option<OrbitRefinement>> = vec![None; class.len()];
+    for (&k, outcome) in firsts.iter().zip(outcomes) {
+        refined[k] = Some(outcome?);
+    }
+    // Each class's last orbit takes the computed outcome itself, the earlier
+    // ones a copy, so no more than one refinement per orbit is ever held.
+    let refinements = (0..class.len())
+        .map(|k| {
+            let first = &mut refined[class[k]];
+            if class[k + 1..].contains(&class[k]) {
+                first.clone()
+            } else {
+                first.take()
+            }
+            .expect("every class's first orbit was refined")
+        })
+        .collect();
+    Ok((refinements, class))
 }
 
 /// Folds every refinement's accumulated sweep breakdown into the timer as
@@ -1062,6 +1098,7 @@ fn record_sweep_breakdown(timer: &mut StageTimer, refinements: &[OrbitRefinement
 fn integrate_refinements_artifact(
     config: &HtcConfig,
     refinements: &[OrbitRefinement],
+    classes: &[usize],
     gamma: &[f64],
     source_nodes: usize,
     target_nodes: usize,
@@ -1082,6 +1119,7 @@ fn integrate_refinements_artifact(
     } else {
         AlignmentArtifact::Dense(integrate_refinements(
             refinements,
+            classes,
             gamma,
             source_nodes,
             target_nodes,
@@ -1092,27 +1130,32 @@ fn integrate_refinements_artifact(
 
 /// Stage 5 (dense tier): per-orbit LISI matrices across the pool, then the
 /// weighted accumulation sequentially in orbit order (bit-identical for every
-/// thread count).
+/// thread count).  Orbits of one class (see [`refine_all_orbits`]) share one
+/// LISI matrix, added once under each member's weight.
 fn integrate_refinements(
     refinements: &[OrbitRefinement],
+    classes: &[usize],
     gamma: &[f64],
     source_nodes: usize,
     target_nodes: usize,
     nearest_neighbors: usize,
 ) -> DenseMatrix {
-    let per_orbit: Vec<Option<DenseMatrix>> = parallel_task_map(refinements.len(), |k| {
-        if gamma[k] == 0.0 {
-            return None;
-        }
-        Some(lisi_matrix(
-            &refinements[k].source_embedding,
-            &refinements[k].target_embedding,
-            nearest_neighbors,
-        ))
+    let per_class: Vec<Option<DenseMatrix>> = parallel_task_map(refinements.len(), |k| {
+        let weighted = (k..classes.len()).any(|j| classes[j] == k && gamma[j] != 0.0);
+        weighted.then(|| {
+            lisi_matrix(
+                &refinements[k].source_embedding,
+                &refinements[k].target_embedding,
+                nearest_neighbors,
+            )
+        })
     });
     let mut accum = AlignmentAccumulator::new(source_nodes, target_nodes);
-    for (m_k, &weight) in per_orbit.iter().zip(gamma) {
-        if let Some(m_k) = m_k {
+    for (&class, &weight) in classes.iter().zip(gamma) {
+        if weight != 0.0 {
+            let m_k = per_class[class]
+                .as_ref()
+                .expect("a weighted orbit's class has its LISI matrix");
             accum.add_weighted(m_k, weight);
         }
     }
@@ -1289,19 +1332,23 @@ impl<'s> PairAlignment<'s> {
         let target_attrs = self.target.attributes();
         let config = &self.session.config;
         let observer = self.session.observer.as_ref();
-        let (refinements, _) = run_stage(observer, &mut self.timer, stages::FINE_TUNING, || {
-            refine_all_orbits(
-                encoder,
-                source_props,
-                target_props,
-                source_attrs,
-                target_attrs,
-                config,
-                observer,
-            )
-        })?;
+        let ((refinements, classes), _) =
+            run_stage(observer, &mut self.timer, stages::FINE_TUNING, || {
+                refine_all_orbits(
+                    encoder,
+                    source_props,
+                    target_props,
+                    source_attrs,
+                    target_attrs,
+                    config,
+                    observer,
+                )
+            })?;
         record_sweep_breakdown(&mut self.timer, &refinements);
-        self.refinements = Some(OrbitRefinements { refinements });
+        self.refinements = Some(OrbitRefinements {
+            refinements,
+            classes,
+        });
         Ok(())
     }
 
@@ -1329,6 +1376,7 @@ impl<'s> PairAlignment<'s> {
                 Ok(integrate_refinements_artifact(
                     config,
                     refinements.refinements(),
+                    &refinements.classes,
                     &gamma,
                     source_nodes,
                     target_nodes,

@@ -110,10 +110,34 @@ pub fn train_single_graph_observed(
     train_over_passes(&passes, attrs.cols(), config, on_epoch)
 }
 
+/// For every item, the index of the first item at or before it that `same`
+/// equates with it — its own index when it is the first of its kind.
+///
+/// Callers pass a bit-for-bit equality ([`CsrMatrix::bit_eq`],
+/// [`DenseMatrix::bit_eq`]), never f64 `==`: equal bits in give equal bits
+/// out through every kernel, so one computation can stand in for the class.
+pub(crate) fn first_equal<T>(items: &[T], same: impl Fn(&T, &T) -> bool) -> Vec<usize> {
+    let mut first: Vec<usize> = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        // Bit equality is transitive, so comparing against the first member
+        // of each earlier class finds the first equal item.
+        let rep = (0..i)
+            .filter(|&j| first[j] == j)
+            .find(|&j| same(&items[j], item))
+            .unwrap_or(i);
+        first.push(rep);
+    }
+    first
+}
+
 /// The shared epoch loop.
 ///
 /// With `config.batch_size == 0` (the dense tier): one Adam step per epoch
-/// over the gradient summed across `passes`, in the exact order given.
+/// over the gradient summed across `passes`, in the exact order given.  A
+/// pass whose propagator and features equal an earlier pass's bit for bit
+/// (sparse graphs leave many orbit propagators identical) runs no forward
+/// or backward: it re-adds that pass's stored loss and gradients at its own
+/// position, so every sum is the one the full loop computes.
 ///
 /// With `config.batch_size > 0` (the `Large` tier): each epoch shuffles a
 /// per-pass node permutation and takes one Adam step per batch index, where a
@@ -160,6 +184,17 @@ fn train_over_passes(
     } else {
         Vec::new()
     };
+
+    // Full-batch pass classes: each duplicate pass reuses the loss and
+    // gradients its class's first pass saved this epoch.
+    let class = if minibatch {
+        Vec::new()
+    } else {
+        first_equal(passes, |a, b| a.0.bit_eq(b.0) && a.1.bit_eq(b.1))
+    };
+    let mut saved: Vec<Option<(f64, Vec<DenseMatrix>)>> = (0..class.len())
+        .map(|i| (class[i + 1..].contains(&i)).then(|| (0.0, grads.clone())))
+        .collect();
 
     let mut loss_history = Vec::with_capacity(config.epochs);
     for epoch in 0..config.epochs {
@@ -226,16 +261,37 @@ fn train_over_passes(
                 accum.data_mut().fill(0.0);
             }
             let mut epoch_loss = 0.0;
-            for &(lap, attrs) in passes {
-                encoder.forward_cached_into(lap, attrs, &mut cache)?;
-                epoch_loss += reconstruction_loss_and_grad_into(
-                    lap,
-                    cache.output(),
-                    &mut grad_h,
-                    &mut loss_scratch,
-                );
-                encoder.backward_into(lap, &cache, &grad_h, &mut grads, &mut backward_scratch)?;
-                for (accum, grad) in grad_accum.iter_mut().zip(&grads) {
+            for (i, &(lap, attrs)) in passes.iter().enumerate() {
+                let (loss, pass_grads) = if class[i] == i {
+                    encoder.forward_cached_into(lap, attrs, &mut cache)?;
+                    let loss = reconstruction_loss_and_grad_into(
+                        lap,
+                        cache.output(),
+                        &mut grad_h,
+                        &mut loss_scratch,
+                    );
+                    encoder.backward_into(
+                        lap,
+                        &cache,
+                        &grad_h,
+                        &mut grads,
+                        &mut backward_scratch,
+                    )?;
+                    if let Some((saved_loss, saved_grads)) = &mut saved[i] {
+                        *saved_loss = loss;
+                        for (slot, grad) in saved_grads.iter_mut().zip(&grads) {
+                            slot.copy_from(grad);
+                        }
+                    }
+                    (loss, &grads)
+                } else {
+                    let (loss, grads) = saved[class[i]]
+                        .as_ref()
+                        .expect("a class's first pass saves its result");
+                    (*loss, grads)
+                };
+                epoch_loss += loss;
+                for (accum, grad) in grad_accum.iter_mut().zip(pass_grads) {
                     accum.add_scaled_inplace(grad, 1.0)?;
                 }
             }
@@ -287,6 +343,87 @@ mod tests {
         .unwrap();
         let xt = xs.clone();
         (orbit_laplacians(&goms_s), orbit_laplacians(&goms_t), xs, xt)
+    }
+
+    /// The full-batch epoch loop with no pass dedup: every pass runs its own
+    /// forward, loss and backward.  Returns the loss history and weights.
+    fn train_every_pass(
+        passes: &[(&CsrMatrix, &DenseMatrix)],
+        config: &HtcConfig,
+    ) -> (Vec<f64>, Vec<DenseMatrix>) {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut dims = vec![passes[0].1.cols()];
+        dims.extend_from_slice(&config.hidden_dims);
+        let mut encoder = GcnEncoder::new(&dims, config.activation, &mut rng);
+        let mut optimizer = Adam::for_parameters(config.learning_rate, encoder.weights());
+        let mut history = Vec::new();
+        for _ in 0..config.epochs {
+            let mut accum: Vec<DenseMatrix> = encoder
+                .weights()
+                .iter()
+                .map(|w| DenseMatrix::zeros(w.rows(), w.cols()))
+                .collect();
+            let mut epoch_loss = 0.0;
+            for &(lap, attrs) in passes {
+                let cache = encoder.forward_cached(lap, attrs).unwrap();
+                let (loss, grad_h) = htc_nn::reconstruction_loss_and_grad(lap, cache.output());
+                epoch_loss += loss;
+                let grads = encoder.backward(lap, &cache, &grad_h).unwrap();
+                for (a, g) in accum.iter_mut().zip(&grads) {
+                    a.add_scaled_inplace(g, 1.0).unwrap();
+                }
+            }
+            optimizer.step(encoder.weights_mut(), &accum);
+            history.push(epoch_loss);
+        }
+        (history, encoder.weights().to_vec())
+    }
+
+    #[test]
+    fn first_equal_points_at_the_first_equal_item() {
+        let items = [3, 1, 3, 2, 1, 3];
+        assert_eq!(first_equal(&items, |a, b| a == b), vec![0, 1, 0, 3, 1, 0]);
+        assert!(first_equal::<u8>(&[], |a, b| a == b).is_empty());
+    }
+
+    #[test]
+    fn duplicate_passes_train_bit_identically_to_every_pass() {
+        // All 13 edge orbits of the toy graph, a triangle with a path: most
+        // 4-node orbits never occur and their propagators coincide.  With
+        // the same target features every target pass also repeats a source
+        // pass; with other features only the absent orbits collapse.
+        let (_, _, xs, xt) = toy_setup();
+        let gs = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]).unwrap();
+        let ls = orbit_laplacians(&GomSet::build(&gs, 13, GomWeighting::Weighted));
+        let lt = ls.clone();
+        let other_xt = xt.map(|v| 1.0 - v);
+        let mut config = HtcConfig::fast();
+        config.epochs = 12;
+        for target_attrs in [&xt, &other_xt] {
+            let passes: Vec<(&CsrMatrix, &DenseMatrix)> = ls
+                .iter()
+                .zip(&lt)
+                .flat_map(|(s, t)| [(s, &xs), (t, target_attrs)])
+                .collect();
+            let class = first_equal(&passes, |a, b| a.0.bit_eq(b.0) && a.1.bit_eq(b.1));
+            let distinct = (0..class.len()).filter(|&i| class[i] == i).count();
+            assert!(
+                distinct < passes.len(),
+                "the toy must repeat passes ({distinct} of {} distinct)",
+                passes.len()
+            );
+
+            let model = train_multi_orbit(&ls, &lt, &xs, target_attrs, &config).unwrap();
+            let (history, weights) = train_every_pass(&passes, &config);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&model.loss_history), bits(&history));
+            for (w, reference) in model.encoder.weights().iter().zip(&weights) {
+                assert!(
+                    w.bit_eq(reference),
+                    "weights differ from the every-pass loop"
+                );
+            }
+        }
     }
 
     #[test]

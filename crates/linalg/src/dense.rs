@@ -4,15 +4,15 @@
 //! attribute matrices, GCN weights, embeddings, alignment matrices and
 //! correlation matrices are all dense.  The implementation favours clarity and
 //! predictable memory layout (a single contiguous `Vec<f64>`); the
-//! hand-optimised kernels are the three matrix products (`A·B`, `A·Bᵀ`,
-//! `AᵀA`), which route through the cache-blocked, register-tiled GEMM driver
+//! hand-optimised kernels are the four matrix products (`A·B`, `Aᵀ·B`,
+//! `A·Bᵀ`, `AᵀA`), which route through the cache-blocked, register-tiled GEMM driver
 //! in [`crate::gemm`] because they dominate the runtime of both training and
 //! the LISI computation.  The `*_into` variants write into caller-owned
 //! output matrices so hot loops (training epochs, per-orbit refinement) reuse
 //! allocations instead of re-allocating per product.
 
 use crate::error::LinalgError;
-use crate::gemm;
+use crate::gemm::{self, StridedA};
 use crate::ops::axpy;
 use crate::Result;
 
@@ -261,16 +261,13 @@ impl DenseMatrix {
         }
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         out.resize_for_overwrite(m, n);
-        let lhs_data = &self.data;
         let rhs_data = &rhs.data;
-        gemm::gemm_into(
-            m,
-            n,
-            k,
-            |i, p| lhs_data[i * k + p],
-            |p, j| rhs_data[p * n + j],
-            &mut out.data,
-        );
+        let lhs = StridedA {
+            data: &self.data,
+            row_stride: k,
+            col_stride: 1,
+        };
+        gemm::gemm_into(m, n, k, lhs, |p, j| rhs_data[p * n + j], &mut out.data);
         Ok(())
     }
 
@@ -280,14 +277,12 @@ impl DenseMatrix {
         let (n, d) = self.shape();
         let mut out = DenseMatrix::zeros(d, d);
         let data = &self.data;
-        gemm::gemm_into(
-            d,
-            d,
-            n,
-            |i, p| data[p * d + i],
-            |p, j| data[p * d + j],
-            &mut out.data,
-        );
+        let lhs = StridedA {
+            data,
+            row_stride: 1,
+            col_stride: d,
+        };
+        gemm::gemm_into(d, d, n, lhs, |p, j| data[p * d + j], &mut out.data);
         out
     }
 
@@ -315,16 +310,13 @@ impl DenseMatrix {
         }
         let (m, k, n) = (self.cols, self.rows, rhs.cols);
         out.resize_for_overwrite(m, n);
-        let lhs_data = &self.data;
         let rhs_data = &rhs.data;
-        gemm::gemm_into(
-            m,
-            n,
-            k,
-            |i, p| lhs_data[p * m + i],
-            |p, j| rhs_data[p * n + j],
-            &mut out.data,
-        );
+        let lhs = StridedA {
+            data: &self.data,
+            row_stride: 1,
+            col_stride: m,
+        };
+        gemm::gemm_into(m, n, k, lhs, |p, j| rhs_data[p * n + j], &mut out.data);
         Ok(())
     }
 
@@ -351,17 +343,21 @@ impl DenseMatrix {
         }
         let (m, d, n) = (self.rows, self.cols, rhs.rows);
         out.resize_for_overwrite(m, n);
-        let lhs_data = &self.data;
         let rhs_data = &rhs.data;
-        gemm::gemm_into(
-            m,
-            n,
-            d,
-            |i, p| lhs_data[i * d + p],
-            |p, j| rhs_data[j * d + p],
-            &mut out.data,
-        );
+        let lhs = StridedA {
+            data: &self.data,
+            row_stride: d,
+            col_stride: 1,
+        };
+        gemm::gemm_into(m, n, d, lhs, |p, j| rhs_data[j * d + p], &mut out.data);
         Ok(())
+    }
+
+    /// Bit-for-bit equality: same shape and equal `to_bits()` of every value.
+    /// Unlike `==` it tells `0.0` from `-0.0` and equates a NaN with itself,
+    /// so equal matrices give equal bits through every kernel.
+    pub fn bit_eq(&self, rhs: &DenseMatrix) -> bool {
+        self.shape() == rhs.shape() && same_bits(&self.data, &rhs.data)
     }
 
     /// Element-wise sum. Shapes must match.
@@ -656,6 +652,12 @@ impl DenseMatrix {
     }
 }
 
+/// True when both slices hold the same values bit for bit (`to_bits()`), so
+/// `0.0` and `-0.0` differ and a NaN equals the same NaN payload.
+pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Dot product between two equally sized slices.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -668,6 +670,19 @@ mod tests {
 
     fn small() -> DenseMatrix {
         DenseMatrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap()
+    }
+
+    #[test]
+    fn bit_eq_tells_signed_zeros_and_shapes_apart() {
+        let m = small();
+        assert!(m.bit_eq(&m.clone()));
+        let zeros = DenseMatrix::zeros(1, 2);
+        let negative = DenseMatrix::from_vec(1, 2, vec![0.0, -0.0]).unwrap();
+        assert_eq!(zeros, negative, "`==` merges the signed zeros");
+        assert!(!zeros.bit_eq(&negative));
+        assert!(!zeros.bit_eq(&DenseMatrix::zeros(2, 1)));
+        let nan = DenseMatrix::filled(1, 1, f64::NAN);
+        assert!(nan.bit_eq(&nan.clone()));
     }
 
     #[test]

@@ -1,52 +1,67 @@
 //! Cache-blocked, register-tiled dense matrix-multiply driver.
 //!
-//! The three dense products the pipeline spends its time in — `A·B`, `A·Bᵀ`
-//! and `AᵀA` — all route through one blocked GEMM driver:
+//! The four dense products the pipeline spends its time in — `A·B`, `Aᵀ·B`,
+//! `A·Bᵀ` and `AᵀA` — all route through one blocked GEMM driver:
 //!
 //! * the inner dimension is processed in `KC`-sized panels so the packed
-//!   operands stay resident in cache while they are reused;
+//!   operand stays resident in cache while it is reused;
 //! * the B panel is packed once per k-panel into `NR`-wide column slabs
 //!   (contiguous `kc × NR` blocks that the micro-kernel streams from L1);
-//! * each worker packs `MR`-row micro-panels of A for its row block into a
-//!   thread-local buffer (so panel packing never allocates after warm-up);
-//! * an `MR×NR` register-tiled micro-kernel accumulates the tile.
+//! * A is never packed: it is described by a row and a column stride
+//!   ([`StridedA`]) and the micro-kernel broadcasts each element straight
+//!   from the caller's storage, so `A` and `Aᵀ` cost the same;
+//! * an `MR×NR` register-tiled micro-kernel accumulates the tile and writes
+//!   it into the output itself.
 //!
-//! The micro-kernel — and with it the `MR`/`NR` tile shape the pack routines
-//! emit — is **selected at runtime** from [`crate::kernels`]: explicit
-//! AVX-512 (8×8), AVX2+FMA (4×8) or NEON (8×4) kernels where the host
+//! The micro-kernel — and with it the `MR`/`NR` tile shape the B slabs are
+//! packed for — is **selected at runtime** from [`crate::kernels`]: explicit
+//! AVX-512 (8×16), AVX2+FMA (4×8) or NEON (8×4) kernels where the host
 //! supports them, a scalar 4×8 fallback everywhere (see the `kernels` module
-//! docs for the dispatch and accuracy contract).  The packing closures and
-//! tail handling below are written against the dispatched tile shape, not
-//! compile-time constants.
+//! docs for the dispatch and accuracy contract).
 //!
-//! **Determinism.** For any fixed output element the contributions are added
-//! in ascending-`k` order — one (possibly fused) multiply-add per step —
-//! regardless of how rows are distributed over threads or where the element
-//! falls in a tile, so results are bit-identical for every thread count
-//! (including `HTC_NUM_THREADS=1`) under a fixed ISA.
+//! **Determinism.** For any fixed output element the contributions of one
+//! `KC` panel are chained in ascending-`k` order from `0.0` — one (possibly
+//! fused) multiply-add per step — and the panel sums are added to the output
+//! in panel order (the first panel stores `0.0 + acc`).  That sequence does
+//! not depend on how rows are distributed over threads, where the element
+//! falls in a tile or how large the tile is, so results are bit-identical
+//! for every thread count (including `HTC_NUM_THREADS=1`) under a fixed ISA.
 //!
-//! The packing closures (`a_at`, `b_at`) abstract the memory layout of the
-//! operands, which is how the same driver serves `A·B` (row-major B), `A·Bᵀ`
-//! (B indexed transposed) and `AᵀA` (both operands read from the same
-//! buffer) without materialising any transpose.
+//! The packing closure `b_at` abstracts the memory layout of B, which is how
+//! the same driver serves `A·B` (row-major B), `A·Bᵀ` (B indexed transposed)
+//! and `AᵀA` (both operands read from the same buffer) without materialising
+//! any transpose.
 
-use crate::kernels::{self, KernelSet, MAX_TILE};
+use crate::kernels::{self, GemmTile, KernelSet};
 use crate::parallel::parallel_rows_mut;
 use std::cell::RefCell;
 
-/// Inner-dimension panel size (packed operand panels span `KC` k-steps).
+/// Inner-dimension panel size (packed B panels span `KC` k-steps).
 pub const KC: usize = 256;
-/// Row-block size each worker packs at a time (`MC × KC` doubles ≈ 128 KiB,
-/// comfortably inside L2).
+/// Row-block size each worker sweeps every B slab over (`MC × KC` doubles of
+/// A ≈ 128 KiB, comfortably inside L2).
 pub const MC: usize = 64;
 
 thread_local! {
-    /// Per-thread packed-A buffer (`≤ (MC rounded up to MR)×KC` doubles).
-    /// Thread-locals on the persistent pool workers make repeated products
-    /// allocation-free.
-    static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     /// Per-thread packed-B buffer; only the thread driving a product uses it.
+    /// Thread-locals make repeated products allocation-free.
     static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The left operand of a product, read in place: element `(i, p)` is
+/// `data[i * row_stride + p * col_stride]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StridedA<'a> {
+    pub data: &'a [f64],
+    pub row_stride: usize,
+    pub col_stride: usize,
+}
+
+impl StridedA<'_> {
+    #[inline]
+    fn at(&self, i: usize, p: usize) -> f64 {
+        self.data[i * self.row_stride + p * self.col_stride]
+    }
 }
 
 /// Packs the B panel `k ∈ [kp, kp+kc), j ∈ [0, n)` into `nr`-wide slabs for
@@ -80,66 +95,44 @@ fn pack_b<FB: Fn(usize, usize) -> f64>(
     }
 }
 
-/// Packs the A block `i ∈ [i0, i0+mb), k ∈ [kp, kp+kc)` into `mr`-row
-/// micro-panels (`pa[micro*kc*mr ..][p*mr + i]`) for the selected kernel,
-/// zero-padding tail rows.
-#[inline]
-fn pack_a<FA: Fn(usize, usize) -> f64>(
-    pa: &mut Vec<f64>,
-    a_at: &FA,
-    i0: usize,
-    mb: usize,
-    kp: usize,
-    kc: usize,
-    mr: usize,
-) {
-    let micros = mb.div_ceil(mr);
-    pa.clear();
-    pa.resize(micros * kc * mr, 0.0);
-    for micro in 0..micros {
-        let r0 = i0 + micro * mr;
-        let rows = mr.min(i0 + mb - r0);
-        let panel = &mut pa[micro * kc * mr..(micro + 1) * kc * mr];
-        for p in 0..kc {
-            let col = &mut panel[p * mr..p * mr + mr];
-            for (i, slot) in col[..rows].iter_mut().enumerate() {
-                *slot = a_at(r0 + i, kp + p);
-            }
-        }
-    }
-}
-
-/// Blocked GEMM driver: `out[i,j] = Σ_p a_at(i,p) · b_at(p,j)`.
+/// Blocked GEMM driver: `out[i,j] = Σ_p a(i,p) · b_at(p,j)`.
 ///
 /// `out` must be an `m × n` row-major buffer; it is fully overwritten.
 /// Parallelised over output row chunks via the persistent pool; see the
 /// module docs for the determinism argument.
-pub(crate) fn gemm_into<FA, FB>(m: usize, n: usize, k: usize, a_at: FA, b_at: FB, out: &mut [f64])
-where
-    FA: Fn(usize, usize) -> f64 + Sync,
+pub(crate) fn gemm_into<FB>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: StridedA<'_>,
+    b_at: FB,
+    out: &mut [f64],
+) where
     FB: Fn(usize, usize) -> f64 + Sync,
 {
     debug_assert_eq!(out.len(), m * n);
-    out.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
-        // Zero-dimension products are a cheap no-op: the output is already
-        // correctly zeroed above, and the packing machinery (which would
-        // compute zero-sized slabs) is never entered.
+        // Zero-dimension products are a cheap no-op: the output is all
+        // zeros, and the packing machinery (which would compute zero-sized
+        // slabs) is never entered.
+        out.fill(0.0);
         return;
     }
     // Small products skip the packing machinery entirely: below ~64k
     // multiply-adds the pack/tile bookkeeping costs more than it saves, and
     // these shapes (per-layer products on small graphs, tiny test matrices)
-    // are latency- not throughput-bound.  The axpy-form loop accumulates each
-    // output element in ascending-k order — the same order as the micro
-    // kernel — and skips zero lhs entries (common for one-hot attribute
-    // matrices).
+    // are latency- not throughput-bound.  This axpy-form loop is not the
+    // micro-kernel's sequence: it adds each rounded product straight into
+    // the output (no fused multiply-add, no per-panel partial sums), in
+    // ascending-k order, and skips zero lhs entries (common for one-hot
+    // attribute matrices).
     const SMALL_PRODUCT_MADDS: usize = 1 << 16;
     if m * n * k <= SMALL_PRODUCT_MADDS {
+        out.fill(0.0);
         for i in 0..m {
             let row = &mut out[i * n..(i + 1) * n];
             for p in 0..k {
-                let a = a_at(i, p);
+                let a = a.at(i, p);
                 if a == 0.0 {
                     continue;
                 }
@@ -155,6 +148,7 @@ where
     // concurrently.
     let ks: &'static KernelSet = kernels::active();
     let (mr, nr) = (ks.mr, ks.nr);
+    let slabs = n.div_ceil(nr);
     PACK_B.with(|pb_cell| {
         let mut pb = pb_cell.borrow_mut();
         let mut kp = 0;
@@ -162,40 +156,38 @@ where
             let kc = KC.min(k - kp);
             pack_b(&mut pb, &b_at, kp, kc, n, nr);
             let pb_ref: &[f64] = &pb;
-            let slabs = n.div_ceil(nr);
+            // The first panel overwrites the output, later ones add to it.
+            let accumulate = kp > 0;
+            let a_panel = &a.data[kp * a.col_stride..];
             parallel_rows_mut(out, n, |start_row, chunk| {
                 let rows = chunk.len() / n;
-                PACK_A.with(|pa_cell| {
-                    let mut pa = pa_cell.borrow_mut();
-                    // Process this thread's rows in MC-sized blocks so the
-                    // packed A block stays in L2 while every B slab sweeps it.
-                    let mut b0 = 0;
-                    while b0 < rows {
-                        let mb = MC.min(rows - b0);
-                        pack_a(&mut pa, &a_at, start_row + b0, mb, kp, kc, mr);
-                        let micros = mb.div_ceil(mr);
-                        for s in 0..slabs {
-                            let j0 = s * nr;
-                            let cols = nr.min(n - j0);
-                            let slab = &pb_ref[s * kc * nr..(s + 1) * kc * nr];
-                            for micro in 0..micros {
-                                let panel = &pa[micro * kc * mr..(micro + 1) * kc * mr];
-                                let mut acc = [0.0f64; MAX_TILE];
-                                (ks.gemm)(kc, panel, slab, &mut acc);
-                                let r0 = b0 + micro * mr;
-                                let tile_rows = mr.min(mb - micro * mr);
-                                for i in 0..tile_rows {
-                                    let row =
-                                        &mut chunk[(r0 + i) * n + j0..(r0 + i) * n + j0 + cols];
-                                    for (o, &v) in row.iter_mut().zip(&acc[i * nr..i * nr + cols]) {
-                                        *o += v;
-                                    }
-                                }
-                            }
+                // Sweep every B slab over an MC-row block of A so the block
+                // stays in L2 while the slab stays in L1.
+                let mut b0 = 0;
+                while b0 < rows {
+                    let mb = MC.min(rows - b0);
+                    for s in 0..slabs {
+                        let j0 = s * nr;
+                        let slab = &pb_ref[s * kc * nr..(s + 1) * kc * nr];
+                        let mut r0 = b0;
+                        while r0 < b0 + mb {
+                            (ks.gemm)(&mut GemmTile {
+                                a: &a_panel[(start_row + r0) * a.row_stride..],
+                                a_row_stride: a.row_stride,
+                                a_col_stride: a.col_stride,
+                                b: slab,
+                                kc,
+                                c: &mut chunk[r0 * n + j0..],
+                                ldc: n,
+                                rows: mr.min(b0 + mb - r0),
+                                cols: nr.min(n - j0),
+                                accumulate,
+                            });
+                            r0 += mr;
                         }
-                        b0 += mb;
                     }
-                });
+                    b0 += mb;
+                }
             });
             kp += kc;
         }
@@ -238,7 +230,7 @@ mod tests {
     #[test]
     fn blocked_matches_reference_on_odd_shapes() {
         // Shapes straddle every block boundary for every ISA's tile shape
-        // (mr ≤ 8, nr ≤ 8, MC = 64, KC = 256).
+        // (mr ≤ 8, nr ≤ 16, MC = 64, KC = 256).
         for &(m, k, n) in &[
             (1, 1, 1),
             (1, 7, 1),
@@ -252,14 +244,12 @@ mod tests {
             let b = dense(k, n, |r, c| ((r * 11 + c * 3) % 17) as f64 - 8.0);
             let mut blocked = vec![0.0; m * n];
             let mut reference = vec![0.0; m * n];
-            gemm_into(
-                m,
-                n,
-                k,
-                |i, p| a[i * k + p],
-                |p, j| b[p * n + j],
-                &mut blocked,
-            );
+            let lhs = StridedA {
+                data: &a,
+                row_stride: k,
+                col_stride: 1,
+            };
+            gemm_into(m, n, k, lhs, |p, j| b[p * n + j], &mut blocked);
             reference_matmul(m, k, n, &a, &b, &mut reference);
             for (x, y) in blocked.iter().zip(&reference) {
                 assert!((x - y).abs() < 1e-9, "({m},{k},{n}): {x} vs {y}");
@@ -269,18 +259,16 @@ mod tests {
 
     #[test]
     fn empty_dimensions_produce_zeros() {
+        let none = StridedA {
+            data: &[],
+            row_stride: 0,
+            col_stride: 0,
+        };
         let mut out = vec![1.0; 6];
-        gemm_into(
-            2,
-            3,
-            0,
-            |_, _| unreachable!(),
-            |_, _| unreachable!(),
-            &mut out,
-        );
+        gemm_into(2, 3, 0, none, |_, _| unreachable!(), &mut out);
         assert!(out.iter().all(|&v| v == 0.0));
         let mut empty: Vec<f64> = Vec::new();
-        gemm_into(0, 3, 4, |_, _| 1.0, |_, _| 1.0, &mut empty);
-        gemm_into(3, 0, 4, |_, _| 1.0, |_, _| 1.0, &mut empty);
+        gemm_into(0, 3, 4, none, |_, _| 1.0, &mut empty);
+        gemm_into(3, 0, 4, none, |_, _| 1.0, &mut empty);
     }
 }

@@ -11,10 +11,15 @@
 //!
 //! | ISA | `MR × NR` | accumulators | notes |
 //! |---|---|---|---|
-//! | AVX-512 | 8 × 8 | 8 zmm | one `_mm512_fmadd_pd` per tile row per k-step |
+//! | AVX-512 | 8 × 16 | 16 zmm | two `_mm512_fmadd_pd` per tile row per k-step |
 //! | AVX2+FMA | 4 × 8 | 8 ymm | two `_mm256_fmadd_pd` per tile row per k-step |
 //! | NEON | 8 × 4 | 16 × `float64x2_t` | `vfmaq_f64`, two vectors per row |
 //! | scalar | 4 × 8 | 32 scalars | portable fallback, reference for tests |
+//!
+//! Every micro-kernel reads its `A` rows in place through a row and a column
+//! stride (one broadcast per tile row per k-step, so no layout of `A` needs
+//! packing), streams a packed `B` slab, keeps the whole tile in registers and
+//! writes `C` itself (see [`GemmTile`]).
 //!
 //! **Determinism and accuracy.**  Every kernel — scalar and SIMD alike —
 //! accumulates each output element in ascending-`k` order, one multiply-add
@@ -38,6 +43,13 @@
 //!   reference under exactly this bound (and the element-wise kernels under
 //!   exact equality).
 //!
+//! Within one ISA the GEMM bits do not depend on the tile shape either: each
+//! output element is one multiply-add chain per `KC` panel, started from
+//! `0.0`, and the panel sums are added to `C` in panel order (the first panel
+//! stores `0.0 + acc`).  `tests/gemm_oracle.rs` pins every lane bit for bit
+//! to that sequence written out with `f64::mul_add` (scalar: `a * b` then
+//! `+`).
+//!
 //! **Forcing an ISA.**  `HTC_FORCE_ISA=scalar|avx2|avx512|neon` pins the
 //! dispatch for the whole process (mirroring `HTC_NUM_THREADS`: an
 //! unsupported or unparsable value warns once on stderr and falls back to
@@ -51,9 +63,9 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Largest `MR × NR` product over every kernel table (the AVX-512 8×8 tile);
-/// the GEMM driver's stack accumulator is sized by it.
-pub const MAX_TILE: usize = 64;
+/// Largest `MR × NR` product over every kernel table (the AVX-512 8×16
+/// tile); sizes the stack buffer a kernel spills a ragged edge tile through.
+pub const MAX_TILE: usize = 128;
 
 /// Instruction sets the dispatcher can select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,10 +140,89 @@ impl Isa {
     }
 }
 
-/// `MR×NR` GEMM micro-kernel: `acc[i*nr + j] += Σ_p pa[p*mr + i] · pb[p*nr + j]`
-/// over `kc` k-steps.  `pa`/`pb` are the zero-padded packed panels produced by
-/// `gemm::pack_a` / `gemm::pack_b` for this kernel's tile shape.
-pub type GemmKernelFn = fn(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [f64; MAX_TILE]);
+/// The operands of one GEMM micro-tile: `rows × cols` outputs (at most the
+/// kernel's `MR × NR`) over `kc` k-steps.
+///
+/// * `A` is read in place: row `i`, step `p` is
+///   `a[i * a_row_stride + p * a_col_stride]`, so `A`, `Aᵀ` and a Gram
+///   operand are all served from their row-major storage.
+/// * `b` is one packed slab: step `p` holds `NR` values at `b[p * NR ..]`,
+///   zero-padded past `cols`.
+/// * `c` starts at the tile's top-left output; row `i` starts at `i * ldc`.
+///   With `accumulate` the kernel stores `C + acc`, otherwise `0.0 + acc`
+///   (the first `KC` panel of a product).
+///
+/// Every kernel starts its accumulators at `0.0` and adds one product per
+/// k-step, so the `C` written is the same for every tile shape.
+#[derive(Debug)]
+pub struct GemmTile<'a> {
+    /// `A`, starting at the tile's first row and k-step.
+    pub a: &'a [f64],
+    /// Distance in `a` between consecutive rows of the tile.
+    pub a_row_stride: usize,
+    /// Distance in `a` between consecutive k-steps.
+    pub a_col_stride: usize,
+    /// The packed `B` slab (`kc × NR`).
+    pub b: &'a [f64],
+    /// Number of k-steps.
+    pub kc: usize,
+    /// `C`, starting at the tile's top-left output.
+    pub c: &'a mut [f64],
+    /// Distance in `c` between consecutive output rows.
+    pub ldc: usize,
+    /// Valid output rows (`1..=MR`).
+    pub rows: usize,
+    /// Valid output columns (`1..=NR`).
+    pub cols: usize,
+    /// Add into `C` (later panels) instead of overwriting it (first panel).
+    pub accumulate: bool,
+}
+
+impl GemmTile<'_> {
+    /// Checks every bound the unchecked kernel bodies rely on, and returns
+    /// the `a` offset of each of the `mr` tile rows.  Rows past `rows` repeat
+    /// the last valid row: the kernel computes them and never stores them.
+    fn row_offsets<const MR: usize>(&self, nr: usize) -> [usize; MR] {
+        assert!((1..=MR).contains(&self.rows) && (1..=nr).contains(&self.cols));
+        assert!(self.b.len() >= self.kc * nr, "B slab shorter than kc·NR");
+        assert!(
+            self.c.len() >= (self.rows - 1) * self.ldc + self.cols,
+            "C tile out of bounds"
+        );
+        if self.kc > 0 {
+            let last = (self.rows - 1) * self.a_row_stride + (self.kc - 1) * self.a_col_stride;
+            assert!(last < self.a.len(), "A tile out of bounds");
+        }
+        std::array::from_fn(|i| i.min(self.rows - 1) * self.a_row_stride)
+    }
+
+    /// Writes the valid `rows × cols` corner of a row-major `MR × nr`
+    /// accumulator tile into `C` — `C + acc`, or `0.0 + acc` for the first
+    /// panel: the same two IEEE additions a full-tile vector store performs.
+    fn store(&mut self, acc: &[f64], nr: usize) {
+        for (i, acc_row) in acc.chunks_exact(nr).take(self.rows).enumerate() {
+            let out = &mut self.c[i * self.ldc..i * self.ldc + self.cols];
+            if self.accumulate {
+                for (o, &v) in out.iter_mut().zip(acc_row) {
+                    *o += v;
+                }
+            } else {
+                for (o, &v) in out.iter_mut().zip(acc_row) {
+                    *o = 0.0 + v;
+                }
+            }
+        }
+    }
+
+    /// True when the tile covers the kernel's full `mr × nr` shape, so a
+    /// kernel may store whole vectors into `C`.
+    fn is_full(&self, mr: usize, nr: usize) -> bool {
+        self.rows == mr && self.cols == nr
+    }
+}
+
+/// `MR×NR` GEMM micro-kernel over one [`GemmTile`].
+pub type GemmKernelFn = fn(tile: &mut GemmTile<'_>);
 
 /// Fused AXPY: `y[i] += alpha * x[i]` (separate mul + add; bit-identical to
 /// the scalar loop).
@@ -325,21 +416,22 @@ const SCALAR_NR: usize = 8;
 
 /// `4×8` scalar micro-kernel: 32 independent accumulators that LLVM maps onto
 /// vector registers.  Multiply and add are separate (rounded) operations.
-fn scalar_gemm(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [f64; MAX_TILE]) {
-    debug_assert!(pa.len() >= kc * SCALAR_MR && pb.len() >= kc * SCALAR_NR);
-    for p in 0..kc {
-        let a = &pa[p * SCALAR_MR..p * SCALAR_MR + SCALAR_MR];
-        let b = &pb[p * SCALAR_NR..p * SCALAR_NR + SCALAR_NR];
-        for (i, acc_row) in acc[..SCALAR_MR * SCALAR_NR]
-            .chunks_exact_mut(SCALAR_NR)
-            .enumerate()
-        {
-            let av = a[i];
+fn scalar_gemm(tile: &mut GemmTile<'_>) {
+    let rows = tile.row_offsets::<SCALAR_MR>(SCALAR_NR);
+    let mut acc = [0.0f64; SCALAR_MR * SCALAR_NR];
+    for (p, b) in tile.b.chunks_exact(SCALAR_NR).take(tile.kc).enumerate() {
+        // SAFETY: `row_offsets` asserted `rows[i] + p·a_col_stride < a.len()`
+        // for every row and every p < kc.
+        let a: [f64; SCALAR_MR] = std::array::from_fn(|i| unsafe {
+            *tile.a.get_unchecked(p * tile.a_col_stride + rows[i])
+        });
+        for (acc_row, &av) in acc.chunks_exact_mut(SCALAR_NR).zip(&a) {
             for (c, &bv) in acc_row.iter_mut().zip(b) {
                 *c += av * bv;
             }
         }
     }
+    tile.store(&acc, SCALAR_NR);
 }
 
 /// Scalar AXPY (chunked so LLVM has a clean unroll target).
@@ -438,18 +530,18 @@ static SCALAR_KERNELS: KernelSet = KernelSet {
 };
 
 // ---------------------------------------------------------------------------
-// x86-64 kernels: AVX-512F (8×8) and AVX2+FMA (4×8).
+// x86-64 kernels: AVX-512F (8×16) and AVX2+FMA (4×8).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Isa, KernelSet, MAX_TILE};
+    use super::{GemmTile, Isa, KernelSet, MAX_TILE};
     use std::arch::x86_64::*;
 
     pub(super) static AVX512_KERNELS: KernelSet = KernelSet {
         isa: Isa::Avx512,
         mr: 8,
-        nr: 8,
+        nr: 16,
         gemm_uses_fma: true,
         gemm: avx512_gemm,
         axpy: avx512_axpy,
@@ -479,54 +571,56 @@ mod x86 {
     /// Safe dispatch shim.  The dispatcher only hands out `AVX512_KERNELS`
     /// when `Isa::Avx512.supported()` reported true, which is exactly the
     /// `#[target_feature]` precondition of the inner kernel.
-    fn avx512_gemm(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [f64; MAX_TILE]) {
-        debug_assert!(pa.len() >= kc * 8 && pb.len() >= kc * 8);
-        // SAFETY: avx512f was detected at dispatch time (see shim doc).
-        unsafe { avx512_gemm_inner(kc, pa, pb, acc) }
+    fn avx512_gemm(tile: &mut GemmTile<'_>) {
+        let rows = tile.row_offsets::<8>(16);
+        // SAFETY: avx512f was detected at dispatch time (see shim doc), and
+        // `row_offsets` checked every bound the kernel relies on.
+        unsafe { avx512_gemm_inner(tile, &rows) }
     }
 
-    /// `8×8` micro-kernel: eight zmm accumulators, one `_mm512_fmadd_pd` per
-    /// tile row per k-step.
+    /// `8×16` micro-kernel: sixteen zmm accumulators (two per tile row), two
+    /// `_mm512_fmadd_pd` per tile row per k-step, `A` broadcast in place.
     #[target_feature(enable = "avx512f")]
-    unsafe fn avx512_gemm_inner(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [f64; MAX_TILE]) {
-        // SAFETY: `acc` is 64 contiguous doubles; rows i·8..i·8+8 are in
-        // bounds for i < 8, and unaligned loads/stores carry no alignment
-        // requirement.
+    unsafe fn avx512_gemm_inner(tile: &mut GemmTile<'_>, rows: &[usize; 8]) {
+        // SAFETY: `row_offsets` asserted that every `a` index
+        // `rows[i] + p·a_col_stride` (p < kc) and every `b` index
+        // `p·16 + j` (j < 16) is in bounds, and that `c` holds the valid
+        // `rows × cols` corner at stride `ldc`; unaligned intrinsics carry no
+        // alignment requirement.
         unsafe {
-            let mut c0 = _mm512_loadu_pd(acc.as_ptr());
-            let mut c1 = _mm512_loadu_pd(acc.as_ptr().add(8));
-            let mut c2 = _mm512_loadu_pd(acc.as_ptr().add(16));
-            let mut c3 = _mm512_loadu_pd(acc.as_ptr().add(24));
-            let mut c4 = _mm512_loadu_pd(acc.as_ptr().add(32));
-            let mut c5 = _mm512_loadu_pd(acc.as_ptr().add(40));
-            let mut c6 = _mm512_loadu_pd(acc.as_ptr().add(48));
-            let mut c7 = _mm512_loadu_pd(acc.as_ptr().add(56));
-            let mut ap = pa.as_ptr();
-            let mut bp = pb.as_ptr();
-            // SAFETY: the caller guarantees pa.len() ≥ kc·8 and
-            // pb.len() ≥ kc·8, so each iteration reads one full 8-wide row
-            // of both panels strictly inside their buffers.
-            for _ in 0..kc {
-                let b = _mm512_loadu_pd(bp);
-                c0 = _mm512_fmadd_pd(_mm512_set1_pd(*ap), b, c0);
-                c1 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(1)), b, c1);
-                c2 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(2)), b, c2);
-                c3 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(3)), b, c3);
-                c4 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(4)), b, c4);
-                c5 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(5)), b, c5);
-                c6 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(6)), b, c6);
-                c7 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(7)), b, c7);
-                ap = ap.add(8);
-                bp = bp.add(8);
+            let mut c = [_mm512_setzero_pd(); 16];
+            let mut ap = tile.a.as_ptr();
+            let mut bp = tile.b.as_ptr();
+            for _ in 0..tile.kc {
+                let b0 = _mm512_loadu_pd(bp);
+                let b1 = _mm512_loadu_pd(bp.add(8));
+                for (i, &offset) in rows.iter().enumerate() {
+                    let a = _mm512_set1_pd(*ap.add(offset));
+                    c[2 * i] = _mm512_fmadd_pd(a, b0, c[2 * i]);
+                    c[2 * i + 1] = _mm512_fmadd_pd(a, b1, c[2 * i + 1]);
+                }
+                ap = ap.add(tile.a_col_stride);
+                bp = bp.add(16);
             }
-            _mm512_storeu_pd(acc.as_mut_ptr(), c0);
-            _mm512_storeu_pd(acc.as_mut_ptr().add(8), c1);
-            _mm512_storeu_pd(acc.as_mut_ptr().add(16), c2);
-            _mm512_storeu_pd(acc.as_mut_ptr().add(24), c3);
-            _mm512_storeu_pd(acc.as_mut_ptr().add(32), c4);
-            _mm512_storeu_pd(acc.as_mut_ptr().add(40), c5);
-            _mm512_storeu_pd(acc.as_mut_ptr().add(48), c6);
-            _mm512_storeu_pd(acc.as_mut_ptr().add(56), c7);
+            if tile.is_full(8, 16) {
+                let zero = _mm512_setzero_pd();
+                for (i, pair) in c.chunks_exact(2).enumerate() {
+                    let out = tile.c.as_mut_ptr().add(i * tile.ldc);
+                    let (base0, base1) = if tile.accumulate {
+                        (_mm512_loadu_pd(out), _mm512_loadu_pd(out.add(8)))
+                    } else {
+                        (zero, zero)
+                    };
+                    _mm512_storeu_pd(out, _mm512_add_pd(base0, pair[0]));
+                    _mm512_storeu_pd(out.add(8), _mm512_add_pd(base1, pair[1]));
+                }
+            } else {
+                let mut acc = [0.0f64; MAX_TILE];
+                for (i, &v) in c.iter().enumerate() {
+                    _mm512_storeu_pd(acc.as_mut_ptr().add(i * 8), v);
+                }
+                tile.store(&acc, 16);
+            }
         }
     }
 
@@ -798,57 +892,55 @@ mod x86 {
 
     // -- AVX2 + FMA ---------------------------------------------------------
 
-    fn avx2_gemm(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [f64; MAX_TILE]) {
-        debug_assert!(pa.len() >= kc * 4 && pb.len() >= kc * 8);
-        // SAFETY: avx2+fma were detected at dispatch time.
-        unsafe { avx2_gemm_inner(kc, pa, pb, acc) }
+    fn avx2_gemm(tile: &mut GemmTile<'_>) {
+        let rows = tile.row_offsets::<4>(8);
+        // SAFETY: avx2+fma were detected at dispatch time, and `row_offsets`
+        // checked every bound the kernel relies on.
+        unsafe { avx2_gemm_inner(tile, &rows) }
     }
 
     /// `4×8` micro-kernel: eight ymm accumulators (two per tile row), two
-    /// `_mm256_fmadd_pd` per row per k-step.
+    /// `_mm256_fmadd_pd` per row per k-step, `A` broadcast in place.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn avx2_gemm_inner(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [f64; MAX_TILE]) {
-        // SAFETY: `acc` is 64 contiguous doubles; the kernel touches the
-        // first 32 (4 rows × 8 columns), in-bounds for every access below.
+    unsafe fn avx2_gemm_inner(tile: &mut GemmTile<'_>, rows: &[usize; 4]) {
+        // SAFETY: `row_offsets` asserted that every `a` index
+        // `rows[i] + p·a_col_stride` (p < kc) and every `b` index `p·8 + j`
+        // (j < 8) is in bounds, and that `c` holds the valid `rows × cols`
+        // corner at stride `ldc`.
         unsafe {
-            let mut c00 = _mm256_loadu_pd(acc.as_ptr());
-            let mut c01 = _mm256_loadu_pd(acc.as_ptr().add(4));
-            let mut c10 = _mm256_loadu_pd(acc.as_ptr().add(8));
-            let mut c11 = _mm256_loadu_pd(acc.as_ptr().add(12));
-            let mut c20 = _mm256_loadu_pd(acc.as_ptr().add(16));
-            let mut c21 = _mm256_loadu_pd(acc.as_ptr().add(20));
-            let mut c30 = _mm256_loadu_pd(acc.as_ptr().add(24));
-            let mut c31 = _mm256_loadu_pd(acc.as_ptr().add(28));
-            let mut ap = pa.as_ptr();
-            let mut bp = pb.as_ptr();
-            // SAFETY: the caller guarantees pa.len() ≥ kc·4 and
-            // pb.len() ≥ kc·8, so each iteration's reads are in-bounds.
-            for _ in 0..kc {
+            let mut c = [_mm256_setzero_pd(); 8];
+            let mut ap = tile.a.as_ptr();
+            let mut bp = tile.b.as_ptr();
+            for _ in 0..tile.kc {
                 let b0 = _mm256_loadu_pd(bp);
                 let b1 = _mm256_loadu_pd(bp.add(4));
-                let a0 = _mm256_set1_pd(*ap);
-                c00 = _mm256_fmadd_pd(a0, b0, c00);
-                c01 = _mm256_fmadd_pd(a0, b1, c01);
-                let a1 = _mm256_set1_pd(*ap.add(1));
-                c10 = _mm256_fmadd_pd(a1, b0, c10);
-                c11 = _mm256_fmadd_pd(a1, b1, c11);
-                let a2 = _mm256_set1_pd(*ap.add(2));
-                c20 = _mm256_fmadd_pd(a2, b0, c20);
-                c21 = _mm256_fmadd_pd(a2, b1, c21);
-                let a3 = _mm256_set1_pd(*ap.add(3));
-                c30 = _mm256_fmadd_pd(a3, b0, c30);
-                c31 = _mm256_fmadd_pd(a3, b1, c31);
-                ap = ap.add(4);
+                for (i, &offset) in rows.iter().enumerate() {
+                    let a = _mm256_set1_pd(*ap.add(offset));
+                    c[2 * i] = _mm256_fmadd_pd(a, b0, c[2 * i]);
+                    c[2 * i + 1] = _mm256_fmadd_pd(a, b1, c[2 * i + 1]);
+                }
+                ap = ap.add(tile.a_col_stride);
                 bp = bp.add(8);
             }
-            _mm256_storeu_pd(acc.as_mut_ptr(), c00);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(4), c01);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(8), c10);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(12), c11);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(16), c20);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(20), c21);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(24), c30);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(28), c31);
+            if tile.is_full(4, 8) {
+                let zero = _mm256_setzero_pd();
+                for (i, pair) in c.chunks_exact(2).enumerate() {
+                    let out = tile.c.as_mut_ptr().add(i * tile.ldc);
+                    let (base0, base1) = if tile.accumulate {
+                        (_mm256_loadu_pd(out), _mm256_loadu_pd(out.add(4)))
+                    } else {
+                        (zero, zero)
+                    };
+                    _mm256_storeu_pd(out, _mm256_add_pd(base0, pair[0]));
+                    _mm256_storeu_pd(out.add(4), _mm256_add_pd(base1, pair[1]));
+                }
+            } else {
+                let mut acc = [0.0f64; 32];
+                for (i, &v) in c.iter().enumerate() {
+                    _mm256_storeu_pd(acc.as_mut_ptr().add(i * 4), v);
+                }
+                tile.store(&acc, 8);
+            }
         }
     }
 
@@ -1098,7 +1190,7 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod aarch64 {
-    use super::{Isa, KernelSet, MAX_TILE};
+    use super::{GemmTile, Isa, KernelSet};
     use std::arch::aarch64::*;
 
     pub(super) static NEON_KERNELS: KernelSet = KernelSet {
@@ -1115,39 +1207,54 @@ mod aarch64 {
         scan_above: neon_scan_above,
     };
 
-    fn neon_gemm(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [f64; MAX_TILE]) {
-        debug_assert!(pa.len() >= kc * 8 && pb.len() >= kc * 4);
-        // SAFETY: neon was detected at dispatch time.
-        unsafe { neon_gemm_inner(kc, pa, pb, acc) }
+    fn neon_gemm(tile: &mut GemmTile<'_>) {
+        let rows = tile.row_offsets::<8>(4);
+        // SAFETY: neon was detected at dispatch time, and `row_offsets`
+        // checked every bound the kernel relies on.
+        unsafe { neon_gemm_inner(tile, &rows) }
     }
 
     /// `8×4` micro-kernel: sixteen 2-lane accumulators (two per tile row),
-    /// `vfmaq_f64` per half-row per k-step.
+    /// `vfmaq_f64` per half-row per k-step, `A` broadcast in place.
     #[target_feature(enable = "neon")]
-    unsafe fn neon_gemm_inner(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [f64; MAX_TILE]) {
-        // SAFETY: `acc` is 64 contiguous doubles; the kernel touches the
-        // first 32 (8 rows × 4 columns); all pointer offsets stay in-bounds
-        // per the caller's pa.len() ≥ kc·8 / pb.len() ≥ kc·4 contract.
+    unsafe fn neon_gemm_inner(tile: &mut GemmTile<'_>, rows: &[usize; 8]) {
+        // SAFETY: `row_offsets` asserted that every `a` index
+        // `rows[i] + p·a_col_stride` (p < kc) and every `b` index `p·4 + j`
+        // (j < 4) is in bounds, and that `c` holds the valid `rows × cols`
+        // corner at stride `ldc`.
         unsafe {
             let mut c: [float64x2_t; 16] = [vdupq_n_f64(0.0); 16];
-            for (i, slot) in c.iter_mut().enumerate() {
-                *slot = vld1q_f64(acc.as_ptr().add(i * 2));
-            }
-            let mut ap = pa.as_ptr();
-            let mut bp = pb.as_ptr();
-            for _ in 0..kc {
+            let mut ap = tile.a.as_ptr();
+            let mut bp = tile.b.as_ptr();
+            for _ in 0..tile.kc {
                 let b0 = vld1q_f64(bp);
                 let b1 = vld1q_f64(bp.add(2));
-                for i in 0..8 {
-                    let a = vdupq_n_f64(*ap.add(i));
-                    c[i * 2] = vfmaq_f64(c[i * 2], a, b0);
-                    c[i * 2 + 1] = vfmaq_f64(c[i * 2 + 1], a, b1);
+                for (i, &offset) in rows.iter().enumerate() {
+                    let a = vdupq_n_f64(*ap.add(offset));
+                    c[2 * i] = vfmaq_f64(c[2 * i], a, b0);
+                    c[2 * i + 1] = vfmaq_f64(c[2 * i + 1], a, b1);
                 }
-                ap = ap.add(8);
+                ap = ap.add(tile.a_col_stride);
                 bp = bp.add(4);
             }
-            for (i, slot) in c.iter().enumerate() {
-                vst1q_f64(acc.as_mut_ptr().add(i * 2), *slot);
+            if tile.is_full(8, 4) {
+                let zero = vdupq_n_f64(0.0);
+                for (i, pair) in c.chunks_exact(2).enumerate() {
+                    let out = tile.c.as_mut_ptr().add(i * tile.ldc);
+                    let (base0, base1) = if tile.accumulate {
+                        (vld1q_f64(out), vld1q_f64(out.add(2)))
+                    } else {
+                        (zero, zero)
+                    };
+                    vst1q_f64(out, vaddq_f64(base0, pair[0]));
+                    vst1q_f64(out.add(2), vaddq_f64(base1, pair[1]));
+                }
+            } else {
+                let mut acc = [0.0f64; 32];
+                for (i, &v) in c.iter().enumerate() {
+                    vst1q_f64(acc.as_mut_ptr().add(i * 2), v);
+                }
+                tile.store(&acc, 4);
             }
         }
     }
@@ -1440,42 +1547,69 @@ mod tests {
         }
     }
 
-    /// Every runnable SIMD GEMM kernel vs the scalar kernel on its own packed
-    /// layout, over ragged kc values.  FMA kernels are held to the documented
-    /// per-step ulp bound; non-FMA kernels to exact equality.
+    /// Every runnable GEMM kernel on a strided `A` (both layouts), ragged
+    /// edge tiles and both store modes, against the per-element sequence it
+    /// promises: a chain from `0.0` (fused for FMA kernels), then `0.0 + acc`
+    /// or `C + acc` — bit for bit, and nothing outside the valid corner moves.
     #[test]
-    fn gemm_kernels_match_scalar_reference() {
+    fn gemm_kernels_match_their_multiply_add_chain() {
         for isa in runnable_isas() {
             let ks = kernel_set(isa).expect("runnable_isas() only yields supported ISAs");
             for kc in [0usize, 1, 2, 3, 7, 64, 255] {
-                let pa = pseudo(1 + kc, kc.max(1) * ks.mr);
-                let pb = pseudo(2 + kc, kc.max(1) * ks.nr);
-                let mut acc = [0.0f64; MAX_TILE];
-                (ks.gemm)(kc, &pa, &pb, &mut acc);
-                // Scalar reference on the same packed layout.
-                let mut expected = [0.0f64; MAX_TILE];
-                let mut slack = [0.0f64; MAX_TILE];
-                for p in 0..kc {
-                    for i in 0..ks.mr {
-                        for j in 0..ks.nr {
-                            let term = pa[p * ks.mr + i] * pb[p * ks.nr + j];
-                            expected[i * ks.nr + j] += term;
-                            slack[i * ks.nr + j] += term.abs();
+                for (rows, cols) in [(ks.mr, ks.nr), (1, 1), (ks.mr - 1, ks.nr / 2 + 1)] {
+                    for transposed in [false, true] {
+                        for accumulate in [false, true] {
+                            // A is rows × kc; stored row-major, or as its
+                            // transpose (kc × rows) for the Aᵀ layouts.
+                            let a = pseudo(1 + kc, rows * kc.max(1));
+                            let (rs, cs) = if transposed { (1, rows) } else { (kc, 1) };
+                            let b = pseudo(2 + kc, kc.max(1) * ks.nr);
+                            let ldc = ks.nr + 3;
+                            let before = pseudo(3, ks.mr * ldc);
+                            let mut c = before.clone();
+                            (ks.gemm)(&mut GemmTile {
+                                a: &a,
+                                a_row_stride: rs,
+                                a_col_stride: cs,
+                                b: &b,
+                                kc,
+                                c: &mut c,
+                                ldc,
+                                rows,
+                                cols,
+                                accumulate,
+                            });
+                            for i in 0..ks.mr {
+                                for j in 0..ldc {
+                                    let idx = i * ldc + j;
+                                    let expected = if i < rows && j < cols {
+                                        let mut acc = 0.0f64;
+                                        for p in 0..kc {
+                                            let (x, y) = (a[i * rs + p * cs], b[p * ks.nr + j]);
+                                            acc = if ks.gemm_uses_fma {
+                                                x.mul_add(y, acc)
+                                            } else {
+                                                acc + x * y
+                                            };
+                                        }
+                                        if accumulate {
+                                            before[idx] + acc
+                                        } else {
+                                            0.0 + acc
+                                        }
+                                    } else {
+                                        before[idx]
+                                    };
+                                    assert_eq!(
+                                        c[idx].to_bits(),
+                                        expected.to_bits(),
+                                        "{isa:?} kc={kc} {rows}x{cols} transposed={transposed} \
+                                         accumulate={accumulate} ({i},{j})"
+                                    );
+                                }
+                            }
                         }
                     }
-                }
-                for idx in 0..ks.mr * ks.nr {
-                    let bound = if ks.gemm_uses_fma {
-                        kc as f64 * f64::EPSILON * (1.0 + slack[idx])
-                    } else {
-                        0.0
-                    };
-                    assert!(
-                        (acc[idx] - expected[idx]).abs() <= bound,
-                        "{isa:?} kc={kc} idx={idx}: {} vs {}",
-                        acc[idx],
-                        expected[idx]
-                    );
                 }
             }
         }

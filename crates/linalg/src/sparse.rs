@@ -6,7 +6,7 @@
 //! immutable after construction, which matches how the pipeline uses it (build
 //! once per orbit, multiply many times).
 
-use crate::dense::DenseMatrix;
+use crate::dense::{same_bits, DenseMatrix};
 use crate::error::LinalgError;
 use crate::parallel::{parallel_map, parallel_rows_mut};
 use crate::Result;
@@ -162,6 +162,17 @@ impl CsrMatrix {
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
+    }
+
+    /// Bit-for-bit equality: same shape, `indptr` and `indices`, and equal
+    /// `to_bits()` of every stored value.  Unlike `==` it tells `0.0` from
+    /// `-0.0` and equates a NaN with itself, so two propagators it equates
+    /// give equal bits through every kernel.
+    pub fn bit_eq(&self, other: &CsrMatrix) -> bool {
+        self.shape() == other.shape()
+            && self.indptr == other.indptr
+            && self.indices == other.indices
+            && same_bits(&self.values, &other.values)
     }
 
     /// Number of stored non-zero entries.
@@ -577,6 +588,56 @@ mod tests {
         assert_eq!(m.row_nnz(2), 2);
         assert_eq!(m.row_sums(), vec![3.0, 0.0, 7.0]);
         assert_eq!(m.row_max(), vec![2.0, 0.0, 4.0]);
+    }
+
+    fn raw(
+        rows: usize,
+        cols: usize,
+        indptr: &[usize],
+        indices: &[usize],
+        values: &[f64],
+    ) -> CsrMatrix {
+        CsrMatrix {
+            rows,
+            cols,
+            indptr: indptr.to_vec(),
+            indices: indices.to_vec(),
+            values: values.to_vec(),
+        }
+    }
+
+    #[test]
+    fn bit_eq_compares_bits_not_f64_equality() {
+        let m = sample();
+        assert!(m.bit_eq(&m.clone()));
+        // ±0.0 compare equal as f64 but are different views.
+        let pos = raw(1, 2, &[0, 1], &[1], &[0.0]);
+        let neg = raw(1, 2, &[0, 1], &[1], &[-0.0]);
+        assert_eq!(pos, neg, "`==` merges the signed zeros");
+        assert!(!pos.bit_eq(&neg));
+        assert!(neg.bit_eq(&neg.clone()));
+        // A NaN equals itself bit for bit, but not a NaN with another payload.
+        let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        let other_nan = f64::from_bits(0x7ff8_0000_0000_0002);
+        let a = raw(1, 2, &[0, 2], &[0, 1], &[1.0, nan]);
+        assert_ne!(a, a.clone(), "`==` never equates a NaN");
+        assert!(a.bit_eq(&a.clone()));
+        assert!(!a.bit_eq(&raw(1, 2, &[0, 2], &[0, 1], &[1.0, other_nan])));
+    }
+
+    #[test]
+    fn bit_eq_requires_the_same_structure_and_shape() {
+        // The same values in other columns, or split over other rows.
+        let diag = raw(2, 2, &[0, 1, 2], &[0, 1], &[1.0, 1.0]);
+        let anti = raw(2, 2, &[0, 1, 2], &[1, 0], &[1.0, 1.0]);
+        let first_row = raw(2, 2, &[0, 2, 2], &[0, 1], &[1.0, 1.0]);
+        assert!(!diag.bit_eq(&anti));
+        assert!(!diag.bit_eq(&first_row));
+        assert!(!anti.bit_eq(&first_row));
+        // Empty matrices that differ only in their column count.
+        assert!(!CsrMatrix::zeros(2, 2).bit_eq(&CsrMatrix::zeros(2, 3)));
+        assert!(!CsrMatrix::zeros(2, 3).bit_eq(&CsrMatrix::zeros(3, 2)));
+        assert!(CsrMatrix::zeros(2, 3).bit_eq(&CsrMatrix::zeros(2, 3)));
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! ablation variants through the session, progress/cancellation, and
 //! persistence warm starts.
 
+use htc::core::finetune::refine_orbit;
+use htc::core::integrate::{orbit_importance, AlignmentAccumulator};
+use htc::core::lisi::lisi_matrix;
 use htc::core::pipeline::stages;
 use htc::core::{
     AlignmentSession, HtcAligner, HtcConfig, HtcError, HtcResult, HtcVariant, ProgressObserver,
     TopologyViews, TrainedEncoder,
 };
-use htc::datasets::{generate_pair, DatasetPair, SyntheticPairConfig};
+use htc::datasets::{generate_pair, DatasetPair, GraphModel, SyntheticPairConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -84,6 +87,68 @@ fn explicit_stage_by_stage_run_matches_monolithic() {
     ] {
         assert!(result.timer().count(stage) > 0, "missing stage {stage}");
     }
+}
+
+#[test]
+fn refine_matches_refining_every_orbit_on_its_own() {
+    // A tree-like pair leaves most of the 13 edge orbits empty, so several
+    // orbits share bit-identical propagator pairs and are refined once.
+    let pair = generate_pair(&SyntheticPairConfig {
+        model: GraphModel::BarabasiAlbert { attach: 1 },
+        edge_removal: 0.05,
+        ..SyntheticPairConfig::tiny(30)
+    });
+    let config = fast_config().with_num_orbits(13);
+    let mut session = AlignmentSession::new(config.clone(), &pair.source).unwrap();
+    let source_attrs = session.source().attributes().clone();
+    let mut staged = session.begin(&pair.target).unwrap();
+    let target_attrs = staged.target().attributes().clone();
+    let (sp, tp) = staged.propagators().unwrap();
+    let (sp, tp) = (sp.laplacians().to_vec(), tp.laplacians().to_vec());
+    let repeated = (0..sp.len())
+        .filter(|&k| (0..k).any(|j| sp[j].bit_eq(&sp[k]) && tp[j].bit_eq(&tp[k])))
+        .count();
+    assert!(repeated > 0, "the pair must repeat some orbit pairs");
+    let encoder = staged.train().unwrap().encoder().clone();
+    let refined = staged.refine().unwrap().refinements().to_vec();
+    assert_eq!(refined.len(), sp.len());
+    for (k, got) in refined.iter().enumerate() {
+        let alone = refine_orbit(
+            &encoder,
+            &sp[k],
+            &tp[k],
+            &source_attrs,
+            &target_attrs,
+            &config,
+        )
+        .unwrap();
+        assert!(
+            got.source_embedding.bit_eq(&alone.source_embedding),
+            "orbit {k}"
+        );
+        assert!(
+            got.target_embedding.bit_eq(&alone.target_embedding),
+            "orbit {k}"
+        );
+        assert_eq!(got.trusted_count, alone.trusted_count, "orbit {k}");
+        assert_eq!(got.iterations, alone.iterations, "orbit {k}");
+    }
+    // Integration adds one LISI matrix per orbit, in orbit order.
+    let counts: Vec<usize> = refined.iter().map(|r| r.trusted_count).collect();
+    let gamma = orbit_importance(&counts);
+    let mut expected = AlignmentAccumulator::new(source_attrs.rows(), target_attrs.rows());
+    for (r, &weight) in refined.iter().zip(&gamma) {
+        if weight != 0.0 {
+            let m_k = lisi_matrix(
+                &r.source_embedding,
+                &r.target_embedding,
+                config.nearest_neighbors,
+            );
+            expected.add_weighted(&m_k, weight);
+        }
+    }
+    let result = staged.finish().unwrap();
+    assert!(result.alignment().bit_eq(&expected.finish()));
 }
 
 #[test]
