@@ -1561,11 +1561,15 @@ mod tests {
                         for accumulate in [false, true] {
                             // A is rows × kc; stored row-major, or as its
                             // transpose (kc × rows) for the Aᵀ layouts.
-                            let a = pseudo(1 + kc, rows * kc.max(1));
+                            // Thirds round, so a changed operation order shows.
+                            let rough = |v: Vec<f64>| -> Vec<f64> {
+                                v.into_iter().map(|x| x / 3.0 + 0.1).collect()
+                            };
+                            let a = rough(pseudo(1 + kc, rows * kc.max(1)));
                             let (rs, cs) = if transposed { (1, rows) } else { (kc, 1) };
-                            let b = pseudo(2 + kc, kc.max(1) * ks.nr);
+                            let b = rough(pseudo(2 + kc, kc.max(1) * ks.nr));
                             let ldc = ks.nr + 3;
-                            let before = pseudo(3, ks.mr * ldc);
+                            let before = rough(pseudo(3, ks.mr * ldc));
                             let mut c = before.clone();
                             (ks.gemm)(&mut GemmTile {
                                 a: &a,
