@@ -193,7 +193,7 @@ fn train_over_passes(
         first_equal(passes, |a, b| a.0.bit_eq(b.0) && a.1.bit_eq(b.1))
     };
     let mut saved: Vec<Option<(f64, Vec<DenseMatrix>)>> = (0..class.len())
-        .map(|i| (class[i + 1..].contains(&i)).then(|| (0.0, grads.clone())))
+        .map(|i| class[i + 1..].contains(&i).then(|| (0.0, grads.clone())))
         .collect();
 
     let mut loss_history = Vec::with_capacity(config.epochs);

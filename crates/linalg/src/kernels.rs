@@ -263,7 +263,7 @@ pub type ScanAboveFn = fn(values: &[f64], threshold: f64, out_idx: &mut [u32]) -
 pub struct KernelSet {
     /// Which ISA these kernels target.
     pub isa: Isa,
-    /// GEMM micro-tile rows (the A-panel interleave width).
+    /// GEMM micro-tile rows (the `A` rows one kernel call broadcasts).
     pub mr: usize,
     /// GEMM micro-tile columns (the B-panel slab width).
     pub nr: usize,
