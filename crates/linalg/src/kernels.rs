@@ -184,14 +184,31 @@ impl GemmTile<'_> {
     /// the last valid row: the kernel computes them and never stores them.
     fn row_offsets<const MR: usize>(&self, nr: usize) -> [usize; MR] {
         assert!((1..=MR).contains(&self.rows) && (1..=nr).contains(&self.cols));
-        assert!(self.b.len() >= self.kc * nr, "B slab shorter than kc·NR");
+        // One past the last element a layout touches, `None` on overflow:
+        // the fields are public, so no product may wrap a bound into range.
+        let end = |terms: &[(usize, usize)], extra: usize| {
+            terms.iter().try_fold(extra, |sum, &(n, stride)| {
+                sum.checked_add(n.checked_mul(stride)?)
+            })
+        };
+        let fits = |end: Option<usize>, len: usize| end.is_some_and(|end| end <= len);
         assert!(
-            self.c.len() >= (self.rows - 1) * self.ldc + self.cols,
+            fits(end(&[(self.kc, nr)], 0), self.b.len()),
+            "B slab shorter than kc·NR"
+        );
+        assert!(
+            fits(end(&[(self.rows - 1, self.ldc)], self.cols), self.c.len()),
             "C tile out of bounds"
         );
         if self.kc > 0 {
-            let last = (self.rows - 1) * self.a_row_stride + (self.kc - 1) * self.a_col_stride;
-            assert!(last < self.a.len(), "A tile out of bounds");
+            let a_end = end(
+                &[
+                    (self.rows - 1, self.a_row_stride),
+                    (self.kc - 1, self.a_col_stride),
+                ],
+                1,
+            );
+            assert!(fits(a_end, self.a.len()), "A tile out of bounds");
         }
         std::array::from_fn(|i| i.min(self.rows - 1) * self.a_row_stride)
     }
@@ -586,7 +603,8 @@ mod x86 {
         // `rows[i] + p·a_col_stride` (p < kc) and every `b` index
         // `p·16 + j` (j < 16) is in bounds, and that `c` holds the valid
         // `rows × cols` corner at stride `ldc`; unaligned intrinsics carry no
-        // alignment requirement.
+        // alignment requirement.  The `A` pointer advances with
+        // `wrapping_add`, since after the last step it may leave the slice.
         unsafe {
             let mut c = [_mm512_setzero_pd(); 16];
             let mut ap = tile.a.as_ptr();
@@ -599,7 +617,7 @@ mod x86 {
                     c[2 * i] = _mm512_fmadd_pd(a, b0, c[2 * i]);
                     c[2 * i + 1] = _mm512_fmadd_pd(a, b1, c[2 * i + 1]);
                 }
-                ap = ap.add(tile.a_col_stride);
+                ap = ap.wrapping_add(tile.a_col_stride);
                 bp = bp.add(16);
             }
             if tile.is_full(8, 16) {
@@ -906,7 +924,8 @@ mod x86 {
         // SAFETY: `row_offsets` asserted that every `a` index
         // `rows[i] + p·a_col_stride` (p < kc) and every `b` index `p·8 + j`
         // (j < 8) is in bounds, and that `c` holds the valid `rows × cols`
-        // corner at stride `ldc`.
+        // corner at stride `ldc`.  The `A` pointer advances with
+        // `wrapping_add`, since after the last step it may leave the slice.
         unsafe {
             let mut c = [_mm256_setzero_pd(); 8];
             let mut ap = tile.a.as_ptr();
@@ -919,7 +938,7 @@ mod x86 {
                     c[2 * i] = _mm256_fmadd_pd(a, b0, c[2 * i]);
                     c[2 * i + 1] = _mm256_fmadd_pd(a, b1, c[2 * i + 1]);
                 }
-                ap = ap.add(tile.a_col_stride);
+                ap = ap.wrapping_add(tile.a_col_stride);
                 bp = bp.add(8);
             }
             if tile.is_full(4, 8) {
@@ -1221,7 +1240,8 @@ mod aarch64 {
         // SAFETY: `row_offsets` asserted that every `a` index
         // `rows[i] + p·a_col_stride` (p < kc) and every `b` index `p·4 + j`
         // (j < 4) is in bounds, and that `c` holds the valid `rows × cols`
-        // corner at stride `ldc`.
+        // corner at stride `ldc`.  The `A` pointer advances with
+        // `wrapping_add`, since after the last step it may leave the slice.
         unsafe {
             let mut c: [float64x2_t; 16] = [vdupq_n_f64(0.0); 16];
             let mut ap = tile.a.as_ptr();
@@ -1234,7 +1254,7 @@ mod aarch64 {
                     c[2 * i] = vfmaq_f64(c[2 * i], a, b0);
                     c[2 * i + 1] = vfmaq_f64(c[2 * i + 1], a, b1);
                 }
-                ap = ap.add(tile.a_col_stride);
+                ap = ap.wrapping_add(tile.a_col_stride);
                 bp = bp.add(4);
             }
             if tile.is_full(8, 4) {
@@ -1615,6 +1635,44 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// A tile whose strides or lengths reach past its slices is refused with
+    /// a panic on every ISA — also when the bound would overflow — before
+    /// any unchecked access.
+    #[test]
+    fn gemm_kernels_refuse_out_of_bounds_tiles() {
+        for isa in runnable_isas() {
+            let ks = kernel_set(isa).expect("runnable_isas() only yields supported ISAs");
+            let a = vec![1.0; 64];
+            let b = vec![1.0; 2 * ks.nr];
+            let mut c = vec![0.0; ks.mr * ks.nr];
+            for (rs, cs, ldc, kc) in [
+                (64, 1, ks.nr, 2),                 // row 1 starts past A
+                (1, usize::MAX / 2 + 1, ks.nr, 2), // k-step stride overflows
+                (1, 1, usize::MAX / 2 + 1, 2),     // C stride overflows
+                (1, 1, ks.nr, 3),                  // B slab shorter than kc·NR
+            ] {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    (ks.gemm)(&mut GemmTile {
+                        a: &a,
+                        a_row_stride: rs,
+                        a_col_stride: cs,
+                        b: &b,
+                        kc,
+                        c: &mut c,
+                        ldc,
+                        rows: 2,
+                        cols: 1,
+                        accumulate: false,
+                    })
+                }));
+                assert!(
+                    outcome.is_err(),
+                    "{isa:?} accepted rs={rs} cs={cs} ldc={ldc} kc={kc}"
+                );
             }
         }
     }
