@@ -47,7 +47,7 @@ use crate::error::HtcError;
 use crate::finetune::{refine_orbit_observed, OrbitRefinement};
 use crate::integrate::{orbit_importance, AlignmentAccumulator, TopKAccumulator};
 use crate::laplacian::{normalized_adjacency, orbit_laplacians};
-use crate::lisi::lisi_matrix;
+use crate::lisi::{lisi_matrix_into, LisiScratch};
 use crate::persist;
 use crate::pipeline::{stages, AlignmentArtifact, HtcResult};
 use crate::training::{
@@ -55,7 +55,7 @@ use crate::training::{
 };
 use crate::Result;
 use htc_graph::AttributedNetwork;
-use htc_linalg::parallel::parallel_task_map;
+use htc_linalg::parallel::{num_threads, parallel_scratch_map, parallel_task_map};
 use htc_linalg::{CsrMatrix, DenseMatrix};
 use htc_metrics::StageTimer;
 use htc_nn::GcnEncoder;
@@ -1128,10 +1128,13 @@ fn integrate_refinements_artifact(
     }
 }
 
-/// Stage 5 (dense tier): per-orbit LISI matrices across the pool, then the
-/// weighted accumulation sequentially in orbit order (bit-identical for every
-/// thread count).  Orbits of one class (see [`refine_all_orbits`]) share one
-/// LISI matrix, added once under each member's weight.
+/// Stage 5 (dense tier): the weighted accumulation of the per-orbit LISI
+/// matrices, sequentially in orbit order (bit-identical for every thread
+/// count).  Consecutive weighted orbits of one class (see
+/// [`refine_all_orbits`]) share one LISI computation.  The matrices are
+/// computed in waves of one per pool thread into reused buffers, so the
+/// memory held is the accumulator plus one LISI matrix and its correlation
+/// scratch per thread, whatever the number of orbits or classes.
 fn integrate_refinements(
     refinements: &[OrbitRefinement],
     classes: &[usize],
@@ -1140,23 +1143,31 @@ fn integrate_refinements(
     target_nodes: usize,
     nearest_neighbors: usize,
 ) -> DenseMatrix {
-    let per_class: Vec<Option<DenseMatrix>> = parallel_task_map(refinements.len(), |k| {
-        let weighted = (k..classes.len()).any(|j| classes[j] == k && gamma[j] != 0.0);
-        weighted.then(|| {
-            lisi_matrix(
-                &refinements[k].source_embedding,
-                &refinements[k].target_embedding,
-                nearest_neighbors,
-            )
-        })
-    });
+    let weighted: Vec<usize> = (0..gamma.len()).filter(|&k| gamma[k] != 0.0).collect();
+    let runs: Vec<&[usize]> = weighted
+        .chunk_by(|&a, &b| classes[a] == classes[b])
+        .collect();
+    let threads = num_threads().clamp(1, runs.len().max(1));
+    let mut slots: Vec<(LisiScratch, DenseMatrix)> = (0..threads)
+        .map(|_| (LisiScratch::new(), DenseMatrix::zeros(0, 0)))
+        .collect();
     let mut accum = AlignmentAccumulator::new(source_nodes, target_nodes);
-    for (&class, &weight) in classes.iter().zip(gamma) {
-        if weight != 0.0 {
-            let m_k = per_class[class]
-                .as_ref()
-                .expect("a weighted orbit's class has its LISI matrix");
-            accum.add_weighted(m_k, weight);
+    for wave in runs.chunks(slots.len()) {
+        let slots = &mut slots[..wave.len()];
+        parallel_scratch_map(slots, |i, (scratch, lisi)| {
+            let first = &refinements[classes[wave[i][0]]];
+            lisi_matrix_into(
+                &first.source_embedding,
+                &first.target_embedding,
+                nearest_neighbors,
+                scratch,
+                lisi,
+            );
+        });
+        for (run, (_, lisi)) in wave.iter().zip(slots.iter()) {
+            for &k in *run {
+                accum.add_weighted(lisi, gamma[k]);
+            }
         }
     }
     accum.finish()
@@ -1398,5 +1409,53 @@ impl<'s> PairAlignment<'s> {
             self.timer,
             embeddings,
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lisi::lisi_matrix;
+
+    fn refinement(seed: u64, rows: usize, cols: usize) -> OrbitRefinement {
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut matrix = |n: usize| {
+            DenseMatrix::from_vec(n, cols, (0..n * cols).map(|_| next()).collect()).unwrap()
+        };
+        OrbitRefinement {
+            source_embedding: matrix(rows),
+            target_embedding: matrix(rows + 3),
+            trusted_count: 0,
+            iterations: 0,
+            topk: None,
+            sweep_stats: Default::default(),
+        }
+    }
+
+    #[test]
+    fn integration_matches_adding_every_orbit_in_order() {
+        // Classes recur after other classes, repeat back to back, and one
+        // weighted class is interrupted by an unweighted orbit.
+        let classes = [0, 1, 0, 3, 3, 1, 6, 6, 3, 1];
+        let gamma = [0.25, 0.5, 0.125, 1.5, 0.75, 0.0, 0.375, 2.0, 0.0625, 3.0];
+        let refinements: Vec<OrbitRefinement> = classes
+            .iter()
+            .map(|&c| refinement(c as u64 + 1, 9, 4))
+            .collect();
+        let mut expected = AlignmentAccumulator::new(9, 12);
+        for (r, &weight) in refinements.iter().zip(&gamma) {
+            if weight != 0.0 {
+                let m_k = lisi_matrix(&r.source_embedding, &r.target_embedding, 3);
+                expected.add_weighted(&m_k, weight);
+            }
+        }
+        let got = integrate_refinements(&refinements, &classes, &gamma, 9, 12, 3);
+        assert!(got.bit_eq(&expected.finish()));
     }
 }
