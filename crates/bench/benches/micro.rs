@@ -6,7 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use htc_core::laplacian::{orbit_laplacian, orbit_laplacians};
-use htc_core::lisi::{lisi_matrix, trusted_pairs};
+use htc_core::lisi::{
+    default_block_rows, lisi_matrix, lisi_sweep, BlockedLisiScratch, RowSink, SweepControl,
+};
 use htc_core::training::train_multi_orbit;
 use htc_core::HtcConfig;
 use htc_datasets::{generate_pair, SyntheticPairConfig};
@@ -210,9 +212,21 @@ fn bench_lisi(c: &mut Criterion) {
         (0..400 * 32).map(|i| (i % 97) as f64 * 0.01).collect(),
     )
     .unwrap();
-    let lisi = lisi_matrix(&hs, &hs, 20);
-    group.bench_function("trusted_pairs_400x400", |b| {
-        b.iter(|| trusted_pairs(&lisi));
+    let mut scratch = BlockedLisiScratch::new();
+    group.bench_function("sweep_trusted_pairs_400x400", |b| {
+        b.iter(|| {
+            lisi_sweep(
+                &hs,
+                &hs,
+                20,
+                default_block_rows(400),
+                RowSink::ArgMax,
+                &mut scratch,
+                &SweepControl::default(),
+            )
+            .unwrap()
+            .trusted_pairs()
+        });
     });
     group.finish();
 }

@@ -17,8 +17,7 @@
 use crate::config::HtcConfig;
 use crate::error::HtcError;
 use crate::lisi::{
-    default_block_rows, lisi_matrix_into, lisi_topk_with, trusted_pairs, BlockedLisiScratch,
-    LisiScratch, SweepControl, SweepStats,
+    default_block_rows, lisi_sweep, BlockedLisiScratch, RowSink, SweepControl, SweepStats,
 };
 use crate::session::ProgressObserver;
 use crate::topk::TopKRows;
@@ -42,10 +41,10 @@ pub struct OrbitRefinement {
     /// `Large` tier only: the top-k LISI candidates of the best iteration,
     /// kept so weighted integration can consume them directly instead of
     /// re-running a blocked similarity sweep per orbit.  `None` in the dense
-    /// tier (integration recomputes the full LISI matrix there, as before).
+    /// tier (integration sweeps the refined embeddings once more there).
     pub topk: Option<TopKRows>,
     /// Accumulated GEMM-vs-selection breakdown over every blocked sweep this
-    /// refinement ran (all-zero in the dense tier).
+    /// refinement ran.
     pub sweep_stats: SweepStats,
 }
 
@@ -80,16 +79,17 @@ pub fn refine_orbit(
 ///
 /// The observer's [`on_finetune_iteration`](ProgressObserver::on_finetune_iteration)
 /// fires once per refinement iteration with the orbit index and trusted-pair
-/// count; in the `Large` tier
-/// [`on_sweep_block`](ProgressObserver::on_sweep_block) additionally fires at
-/// row-block granularity inside each blocked sweep, so deadline observers can
-/// interrupt a multi-minute sweep mid-flight.  Both cancel with
-/// [`HtcError::Cancelled`] when they return `false`.
+/// count; [`on_sweep_block`](ProgressObserver::on_sweep_block) additionally
+/// fires at row-block granularity inside each blocked LISI sweep, so
+/// deadline observers can interrupt a multi-minute sweep mid-flight.  Both
+/// cancel with [`HtcError::Cancelled`] when they return `false`.
 ///
 /// The iteration loop is allocation-free after warm-up: forward passes reuse
 /// two [`ForwardCache`]s, the Eq. 14 reinforcement boost rescales into
 /// persistent boosted-Laplacian scratch (`scale_sym_into`), and the LISI
-/// buffers are shared across iterations.
+/// sweep buffers are shared across iterations.  Both tiers run the same
+/// sweep; the tier only picks its row sink (top-k retention for `Large`,
+/// arg-maxes only for the dense tier).
 #[allow(clippy::too_many_arguments)]
 pub fn refine_orbit_observed(
     encoder: &GcnEncoder,
@@ -125,13 +125,9 @@ pub fn refine_orbit_observed(
         1
     };
 
-    // LISI buffers reused across refinement iterations (every iteration
-    // recomputes an n_s × n_t matrix — or, in the Large tier, a blocked
-    // top-k sweep — over the same shapes).
-    let large = config.scale.is_large();
-    let mut lisi_scratch = LisiScratch::new();
-    let mut lisi = DenseMatrix::zeros(0, 0);
-    let mut blocked_scratch = BlockedLisiScratch::new();
+    // Sweep buffers reused across refinement iterations (every iteration
+    // sweeps the same shapes).
+    let mut scratch = BlockedLisiScratch::new();
     let mut best_topk: Option<TopKRows> = None;
     let mut sweep_stats = SweepStats::default();
 
@@ -149,28 +145,22 @@ pub fn refine_orbit_observed(
 
     for _ in 0..max_iters {
         iterations += 1;
-        let (pairs, iter_topk) = if large {
-            let blocked = lisi_topk_with(
-                source_cache.output(),
-                target_cache.output(),
-                config.nearest_neighbors,
-                config.top_k,
-                default_block_rows(target_cache.output().rows()),
-                &mut blocked_scratch,
-                &control,
-            )?;
-            sweep_stats.accumulate(&blocked.stats);
-            (blocked.trusted_pairs(), Some(blocked.topk))
+        let sink = if config.scale.is_large() {
+            RowSink::TopK(config.top_k)
         } else {
-            lisi_matrix_into(
-                source_cache.output(),
-                target_cache.output(),
-                config.nearest_neighbors,
-                &mut lisi_scratch,
-                &mut lisi,
-            );
-            (trusted_pairs(&lisi), None)
+            RowSink::ArgMax
         };
+        let sweep = lisi_sweep(
+            source_cache.output(),
+            target_cache.output(),
+            config.nearest_neighbors,
+            default_block_rows(target_cache.output().rows()),
+            sink,
+            &mut scratch,
+            &control,
+        )?;
+        sweep_stats.accumulate(&sweep.stats);
+        let pairs = sweep.trusted_pairs();
         let count = pairs.len();
         if let Some(obs) = observer {
             if !obs.on_finetune_iteration(orbit, iterations, count) {
@@ -184,7 +174,7 @@ pub fn refine_orbit_observed(
             best_count = count.max(best_count);
             best_source.copy_from(source_cache.output());
             best_target.copy_from(target_cache.output());
-            best_topk = iter_topk;
+            best_topk = sweep.topk;
         }
         if !config.fine_tune {
             break;
@@ -391,14 +381,17 @@ mod tests {
         assert!(events
             .iter()
             .any(|&(_, _, t)| t == refinement.trusted_count));
-        // Dense tier: no blocked sweeps, so no block events and zero stats.
+        // The dense tier runs the blocked sweep too: every block of both
+        // passes of every iteration's sweep reports progress, and the
+        // breakdown fills in, while no top-k artifact is kept.
+        assert!(refinement.sweep_stats.blocks >= refinement.iterations);
         assert_eq!(
             recorder
                 .blocks_seen
                 .load(std::sync::atomic::Ordering::Relaxed),
-            0
+            2 * refinement.sweep_stats.blocks
         );
-        assert_eq!(refinement.sweep_stats, SweepStats::default());
+        assert!(refinement.topk.is_none());
     }
 
     #[test]

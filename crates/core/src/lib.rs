@@ -95,3 +95,7 @@ pub use variants::HtcVariant;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, HtcError>;
+
+#[cfg(test)]
+#[path = "../tests/support/lisi_oracle.rs"]
+mod lisi_oracle;

@@ -3,16 +3,10 @@
 //! The paper predicts, for every source node, the highest-scoring target node
 //! (a many-to-one rule, Section IV-E).  Downstream applications often need a
 //! *one-to-one* correspondence instead — every target node used at most once.
-//! This module provides two extractors on top of any alignment matrix:
-//!
-//! * [`greedy_matching`] — sort all pairs by score and accept greedily; simple
-//!   and `O(n_s · n_t · log)` but can be locally sub-optimal;
-//! * [`auction_matching`] — an ε-scaling auction algorithm (Bertsekas) that
-//!   approximates the maximum-weight assignment; with the default settings it
-//!   recovers the optimal assignment on small score matrices and a
-//!   near-optimal one on large ones.
-//!
-//! Both return source-indexed assignments compatible with
+//! [`greedy_matching`] (and [`greedy_matching_topk`] for the `Large` tier's
+//! top-k artifact) sorts all pairs by score and accepts greedily: simple and
+//! `O(n_s · n_t · log)`, but it can be locally sub-optimal.  Both return
+//! source-indexed assignments compatible with
 //! [`crate::pipeline::HtcResult::alignment`].
 
 use crate::topk::TopKRows;
@@ -151,89 +145,6 @@ pub fn greedy_matching_topk(candidates: &TopKRows) -> Matching {
     }
 }
 
-/// Auction algorithm for the (approximate) maximum-weight assignment.
-///
-/// `epsilon` controls the optimality gap: the returned assignment's total
-/// score is within `n_s · epsilon` of the optimum.  Sources that would have to
-/// accept a strongly negative value (below `-1e6`) stay unmatched, which keeps
-/// rectangular problems well-defined.
-pub fn auction_matching(alignment: &DenseMatrix, epsilon: f64) -> Matching {
-    let (ns, nt) = alignment.shape();
-    if ns == 0 || nt == 0 {
-        return Matching {
-            target_of: vec![None; ns],
-            total_score: 0.0,
-        };
-    }
-    if ns > nt {
-        // More bidders than items: run the auction on the transposed problem
-        // (targets bid for sources) and invert the resulting assignment, so
-        // every target can be matched and the ε-optimality guarantee holds.
-        let transposed = auction_matching(&alignment.transpose(), epsilon);
-        let mut target_of = vec![None; ns];
-        for (t, s) in transposed.pairs() {
-            target_of[s] = Some(t);
-        }
-        return Matching {
-            target_of,
-            total_score: transposed.total_score,
-        };
-    }
-    let epsilon = epsilon.max(1e-9);
-    let mut prices = vec![0.0_f64; nt];
-    let mut owner: Vec<Option<usize>> = vec![None; nt];
-    let mut assigned: Vec<Option<usize>> = vec![None; ns];
-    let mut unassigned: Vec<usize> = (0..ns.min(nt)).collect();
-    // Sources beyond the target count can never all be assigned; the auction
-    // runs on the first min(ns, nt) bidders and the rest stay unmatched.
-    let mut rounds = 0usize;
-    let max_rounds = 50 * ns.max(nt) * ((1.0 / epsilon).log2().max(1.0) as usize + 4);
-    while let Some(s) = unassigned.pop() {
-        rounds += 1;
-        if rounds > max_rounds {
-            break;
-        }
-        // Find the best and second-best net value for bidder s.
-        let row = alignment.row(s);
-        let mut best_t = 0usize;
-        let mut best_value = f64::NEG_INFINITY;
-        let mut second_value = f64::NEG_INFINITY;
-        for (t, &v) in row.iter().enumerate() {
-            let net = v - prices[t];
-            if net > best_value {
-                second_value = best_value;
-                best_value = net;
-                best_t = t;
-            } else if net > second_value {
-                second_value = net;
-            }
-        }
-        if !best_value.is_finite() || best_value < -1e6 {
-            continue;
-        }
-        let increment = if second_value.is_finite() {
-            best_value - second_value + epsilon
-        } else {
-            epsilon
-        };
-        prices[best_t] += increment;
-        if let Some(previous) = owner[best_t].replace(s) {
-            assigned[previous] = None;
-            unassigned.push(previous);
-        }
-        assigned[s] = Some(best_t);
-    }
-    let total = assigned
-        .iter()
-        .enumerate()
-        .filter_map(|(s, t)| t.map(|t| alignment.get(s, t)))
-        .sum();
-    Matching {
-        target_of: assigned,
-        total_score: total,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,30 +176,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), targets.len());
-    }
-
-    #[test]
-    fn auction_solves_case_where_greedy_is_suboptimal() {
-        // Greedy takes (0,0)=10 then forces (1,1)=1 → total 11.
-        // Optimal is (0,1)=9 + (1,0)=9 → total 18.
-        let m = square(vec![10.0, 9.0, 9.0, 1.0]);
-        let greedy = greedy_matching(&m);
-        let auction = auction_matching(&m, 1e-3);
-        assert!(auction.total_score() > greedy.total_score());
-        assert_eq!(auction.target_of(0), Some(1));
-        assert_eq!(auction.target_of(1), Some(0));
-    }
-
-    #[test]
-    fn auction_matches_identity_on_diagonal_matrices() {
-        let m = DenseMatrix::identity(6);
-        let matching = auction_matching(&m, 1e-3);
-        assert_eq!(matching.len(), 6);
-        for (s, t) in matching.pairs() {
-            assert_eq!(s, t);
-        }
-        let gt = GroundTruth::identity(6);
-        assert_eq!(matching.accuracy_against(&gt), 1.0);
     }
 
     #[test]
@@ -339,40 +226,29 @@ mod tests {
     fn empty_matrices_are_handled() {
         let empty = DenseMatrix::zeros(0, 0);
         assert!(greedy_matching(&empty).is_empty());
-        assert!(auction_matching(&empty, 1e-3).is_empty());
         let no_targets = DenseMatrix::zeros(3, 0);
-        assert!(auction_matching(&no_targets, 1e-3).is_empty());
+        assert!(greedy_matching(&no_targets).is_empty());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Property: both extractors return one-to-one matchings and the
-        /// auction's total score is never worse than greedy's by more than
-        /// the epsilon slack.
+        /// Property: greedy extraction returns a one-to-one matching.
         #[test]
-        fn matchings_are_one_to_one_and_auction_competitive(
+        fn greedy_matchings_are_one_to_one(
             seed in 0u64..1000, ns in 1usize..8, nt in 1usize..8
         ) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let data: Vec<f64> = (0..ns * nt).map(|_| rng.gen_range(0.0..1.0)).collect();
             let m = DenseMatrix::from_vec(ns, nt, data).unwrap();
-            let eps = 1e-3;
-            for matching in [greedy_matching(&m), auction_matching(&m, eps)] {
-                let mut targets: Vec<usize> = matching.pairs().map(|(_, t)| t).collect();
-                let before = targets.len();
-                targets.sort_unstable();
-                targets.dedup();
-                prop_assert_eq!(targets.len(), before);
-                prop_assert!(matching.len() <= ns.min(nt));
-            }
-            let greedy = greedy_matching(&m);
-            let auction = auction_matching(&m, eps);
-            prop_assert!(
-                auction.total_score() + (ns.max(nt) as f64) * eps + 1e-9 >= greedy.total_score(),
-                "auction {} vs greedy {}", auction.total_score(), greedy.total_score()
-            );
+            let matching = greedy_matching(&m);
+            let mut targets: Vec<usize> = matching.pairs().map(|(_, t)| t).collect();
+            let before = targets.len();
+            targets.sort_unstable();
+            targets.dedup();
+            prop_assert_eq!(targets.len(), before);
+            prop_assert!(matching.len() <= ns.min(nt));
         }
     }
 }

@@ -45,9 +45,9 @@ use crate::config::{HtcConfig, TopologyMode};
 use crate::diffusion::diffusion_propagators;
 use crate::error::HtcError;
 use crate::finetune::{refine_orbit_observed, OrbitRefinement};
-use crate::integrate::{orbit_importance, AlignmentAccumulator, TopKAccumulator};
+use crate::integrate::{orbit_importance, TopKAccumulator};
 use crate::laplacian::{normalized_adjacency, orbit_laplacians};
-use crate::lisi::{lisi_matrix_into, LisiScratch};
+use crate::lisi::{default_block_rows, lisi_sweep, BlockedLisiScratch, RowSink, SweepControl};
 use crate::persist;
 use crate::pipeline::{stages, AlignmentArtifact, HtcResult};
 use crate::training::{
@@ -55,7 +55,7 @@ use crate::training::{
 };
 use crate::Result;
 use htc_graph::AttributedNetwork;
-use htc_linalg::parallel::{num_threads, parallel_scratch_map, parallel_task_map};
+use htc_linalg::parallel::parallel_task_map;
 use htc_linalg::{CsrMatrix, DenseMatrix};
 use htc_metrics::StageTimer;
 use htc_nn::GcnEncoder;
@@ -115,8 +115,8 @@ pub trait ProgressObserver: Send + Sync {
         true
     }
 
-    /// The blocked LISI sweep of a `Large`-tier refinement finished one row
-    /// block (`_done` of `_total`, counting both passes of the current
+    /// The blocked LISI sweep of a refinement (either tier) finished one
+    /// row block (`_done` of `_total`, counting both passes of the current
     /// sweep).  Return `false` to cancel — this is the finest-grained
     /// cancellation point, so deadlines interrupt a multi-minute sweep
     /// mid-flight instead of only between iterations.
@@ -976,7 +976,7 @@ fn align_with_shared_encoder(
             observer,
         )
     })?;
-    record_sweep_breakdown(&mut timer, &refinements);
+    record_sweep_breakdown(&mut timer, config, &refinements);
 
     let trusted_counts: Vec<usize> = refinements.iter().map(|r| r.trusted_count).collect();
     let gamma = orbit_importance(&trusted_counts);
@@ -1072,22 +1072,29 @@ fn refine_all_orbits(
 }
 
 /// Folds every refinement's accumulated sweep breakdown into the timer as
-/// CPU-second pseudo-stages (only when the `Large` tier actually swept).
-fn record_sweep_breakdown(timer: &mut StageTimer, refinements: &[OrbitRefinement]) {
+/// CPU-second pseudo-stages — `Large` tier only.  Dense refinements sweep
+/// too, but their timer keeps only wall-clock stages, so stage sums (the
+/// serving path's per-request stage totals) never count the sweep twice.
+fn record_sweep_breakdown(
+    timer: &mut StageTimer,
+    config: &HtcConfig,
+    refinements: &[OrbitRefinement],
+) {
+    if !config.scale.is_large() {
+        return;
+    }
     let mut total = crate::lisi::SweepStats::default();
     for refinement in refinements {
         total.accumulate(&refinement.sweep_stats);
     }
-    if total.blocks > 0 {
-        timer.record(
-            stages::FINE_TUNING_GEMM,
-            Duration::from_secs_f64(total.gemm_seconds.max(0.0)),
-        );
-        timer.record(
-            stages::FINE_TUNING_SELECT,
-            Duration::from_secs_f64(total.select_seconds.max(0.0)),
-        );
-    }
+    timer.record(
+        stages::FINE_TUNING_GEMM,
+        Duration::from_secs_f64(total.gemm_seconds.max(0.0)),
+    );
+    timer.record(
+        stages::FINE_TUNING_SELECT,
+        Duration::from_secs_f64(total.select_seconds.max(0.0)),
+    );
 }
 
 /// Stage 5, dispatching on the configured scale tier: the dense weighted
@@ -1124,17 +1131,18 @@ fn integrate_refinements_artifact(
             source_nodes,
             target_nodes,
             config.nearest_neighbors,
+            config.sweep_cache_mb.saturating_mul(1 << 20),
         ))
     }
 }
 
 /// Stage 5 (dense tier): the weighted accumulation of the per-orbit LISI
-/// matrices, sequentially in orbit order (bit-identical for every thread
-/// count).  Consecutive weighted orbits of one class (see
-/// [`refine_all_orbits`]) share one LISI computation.  The matrices are
-/// computed in waves of one per pool thread into reused buffers, so the
-/// memory held is the accumulator plus one LISI matrix and its correlation
-/// scratch per thread, whatever the number of orbits or classes.
+/// matrices, sweeping the refined embeddings straight into the accumulator.
+/// Consecutive weighted orbits of one class (see [`refine_all_orbits`])
+/// share one sweep, whose rows are added once per orbit under that orbit's
+/// γ.  The sweeps run in orbit order, so every element receives its orbits'
+/// contributions in orbit order (bit-identical for every thread count), and
+/// no per-orbit LISI matrix is ever held.
 fn integrate_refinements(
     refinements: &[OrbitRefinement],
     classes: &[usize],
@@ -1142,35 +1150,30 @@ fn integrate_refinements(
     source_nodes: usize,
     target_nodes: usize,
     nearest_neighbors: usize,
+    corr_cache_bytes: usize,
 ) -> DenseMatrix {
     let weighted: Vec<usize> = (0..gamma.len()).filter(|&k| gamma[k] != 0.0).collect();
-    let runs: Vec<&[usize]> = weighted
-        .chunk_by(|&a, &b| classes[a] == classes[b])
-        .collect();
-    let threads = num_threads().clamp(1, runs.len().max(1));
-    let mut slots: Vec<(LisiScratch, DenseMatrix)> = (0..threads)
-        .map(|_| (LisiScratch::new(), DenseMatrix::zeros(0, 0)))
-        .collect();
-    let mut accum = AlignmentAccumulator::new(source_nodes, target_nodes);
-    for wave in runs.chunks(slots.len()) {
-        let slots = &mut slots[..wave.len()];
-        parallel_scratch_map(slots, |i, (scratch, lisi)| {
-            let first = &refinements[classes[wave[i][0]]];
-            lisi_matrix_into(
-                &first.source_embedding,
-                &first.target_embedding,
-                nearest_neighbors,
-                scratch,
-                lisi,
-            );
-        });
-        for (run, (_, lisi)) in wave.iter().zip(slots.iter()) {
-            for &k in *run {
-                accum.add_weighted(lisi, gamma[k]);
-            }
-        }
+    let control = SweepControl {
+        corr_cache_bytes,
+        ..SweepControl::default()
+    };
+    let mut scratch = BlockedLisiScratch::new();
+    let mut accum = DenseMatrix::zeros(source_nodes, target_nodes);
+    for run in weighted.chunk_by(|&a, &b| classes[a] == classes[b]) {
+        let first = &refinements[classes[run[0]]];
+        let weights: Vec<f64> = run.iter().map(|&k| gamma[k]).collect();
+        lisi_sweep(
+            &first.source_embedding,
+            &first.target_embedding,
+            nearest_neighbors,
+            default_block_rows(target_nodes),
+            RowSink::Accumulate(&mut accum, &weights),
+            &mut scratch,
+            &control,
+        )
+        .expect("an uncancellable sweep cannot fail");
     }
-    accum.finish()
+    accum
 }
 
 /// A stage-by-stage **pairwise** alignment in progress (see
@@ -1355,7 +1358,7 @@ impl<'s> PairAlignment<'s> {
                     observer,
                 )
             })?;
-        record_sweep_breakdown(&mut self.timer, &refinements);
+        record_sweep_breakdown(&mut self.timer, config, &refinements);
         self.refinements = Some(OrbitRefinements {
             refinements,
             classes,
@@ -1415,7 +1418,8 @@ impl<'s> PairAlignment<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lisi::lisi_matrix;
+    use crate::integrate::AlignmentAccumulator;
+    use crate::lisi_oracle::oracle_lisi;
 
     fn refinement(seed: u64, rows: usize, cols: usize) -> OrbitRefinement {
         let mut state = seed;
@@ -1451,11 +1455,14 @@ mod tests {
         let mut expected = AlignmentAccumulator::new(9, 12);
         for (r, &weight) in refinements.iter().zip(&gamma) {
             if weight != 0.0 {
-                let m_k = lisi_matrix(&r.source_embedding, &r.target_embedding, 3);
+                let m_k = oracle_lisi(&r.source_embedding, &r.target_embedding, 3);
                 expected.add_weighted(&m_k, weight);
             }
         }
-        let got = integrate_refinements(&refinements, &classes, &gamma, 9, 12, 3);
-        assert!(got.bit_eq(&expected.finish()));
+        let expected = expected.finish();
+        for cache_bytes in [0, usize::MAX] {
+            let got = integrate_refinements(&refinements, &classes, &gamma, 9, 12, 3, cache_bytes);
+            assert!(got.bit_eq(&expected));
+        }
     }
 }

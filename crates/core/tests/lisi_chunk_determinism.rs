@@ -1,24 +1,30 @@
 //! Chunk-count × ISA invariance of the parallel blocked LISI sweep.
 //!
-//! The multi-threaded sweep of `lisi_topk_with` partitions row blocks into
+//! The multi-threaded sweep of `lisi_sweep` partitions row blocks into
 //! chunks and merges chunk-partial state in ascending chunk order; the
 //! determinism contract says neither the chunk count nor the instruction set
 //! may influence a single result bit.  This test cross-checks every chunk
-//! split against the dense LISI path under both the machine's best ISA and
-//! the forced-scalar kernels.
+//! split, for the top-k sink and the dense integration sink, against the
+//! plain dense LISI oracle under both the machine's best ISA and the
+//! forced-scalar kernels.
 //!
 //! It lives in its own integration-test binary because `force_isa` mutates
 //! process-global kernel dispatch: as the only test here, nothing races the
 //! override.
 
-use htc_core::lisi::{
-    lisi_matrix, lisi_topk_with, trusted_pairs, BlockedLisiScratch, SweepControl,
-};
+#[path = "support/lisi_oracle.rs"]
+mod lisi_oracle;
+
+use htc_core::lisi::{lisi_sweep, BlockedLisiScratch, RowSink, SweepControl};
 use htc_linalg::kernels::force_isa;
 use htc_linalg::ops::row_argmax;
 use htc_linalg::{DenseMatrix, Isa};
+use lisi_oracle::{oracle_lisi, oracle_trusted_pairs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// γ weights of a run of orbits sharing one pair of embeddings.
+const WEIGHTS: [f64; 2] = [0.3125, 0.75];
 
 fn random_embedding(n: usize, d: usize, seed: u64) -> DenseMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -26,9 +32,15 @@ fn random_embedding(n: usize, d: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::from_vec(n, d, data).unwrap()
 }
 
-/// All observable outputs of one sweep, with scores as raw bits: retained
-/// top-k rows, row arg-maxes, trusted pairs.
-type Fingerprint = (Vec<Vec<(usize, u64)>>, Vec<usize>, Vec<(usize, usize)>);
+/// All observable outputs of one configuration, with scores as raw bits:
+/// retained top-k rows, row arg-maxes, trusted pairs, and the bits of a
+/// γ-weighted accumulation.
+type Fingerprint = (
+    Vec<Vec<(usize, u64)>>,
+    Vec<usize>,
+    Vec<(usize, usize)>,
+    Vec<u64>,
+);
 
 fn fingerprint(
     hs: &DenseMatrix,
@@ -45,11 +57,30 @@ fn fingerprint(
         chunks: Some(chunks),
         progress: None,
     };
-    let blocked = lisi_topk_with(hs, ht, m, k, block, &mut scratch, &control).unwrap();
-    let rows = (0..blocked.topk.rows())
-        .map(|r| blocked.topk.row(r).map(|(c, v)| (c, v.to_bits())).collect())
+    let blocked = lisi_sweep(hs, ht, m, block, RowSink::TopK(k), &mut scratch, &control).unwrap();
+    let topk = blocked.topk.as_ref().unwrap();
+    let rows = (0..topk.rows())
+        .map(|r| topk.row(r).map(|(c, v)| (c, v.to_bits())).collect())
         .collect();
-    (rows, blocked.row_best().to_vec(), blocked.trusted_pairs())
+    let mut accum = DenseMatrix::zeros(hs.rows(), ht.rows());
+    let integrated = lisi_sweep(
+        hs,
+        ht,
+        m,
+        block,
+        RowSink::Accumulate(&mut accum, &WEIGHTS),
+        &mut scratch,
+        &control,
+    )
+    .unwrap();
+    assert_eq!(integrated.trusted_pairs(), blocked.trusted_pairs());
+    let accum = accum.data().iter().map(|v| v.to_bits()).collect();
+    (
+        rows,
+        blocked.row_best().to_vec(),
+        blocked.trusted_pairs(),
+        accum,
+    )
 }
 
 #[test]
@@ -58,9 +89,9 @@ fn sweep_bits_survive_chunking_and_forced_scalar_isa() {
     let hs = random_embedding(ns, d, 77);
     let ht = random_embedding(nt, d, 78);
 
-    // Reference on the machine's best ISA: dense matrix, plus the
+    // Reference on the machine's best ISA: the dense oracle, plus the
     // single-chunk sweep checked against it entry by entry.
-    let dense = lisi_matrix(&hs, &ht, m);
+    let dense = oracle_lisi(&hs, &ht, m);
     let native = fingerprint(&hs, &ht, m, k, block, 1, 0);
     for (r, row) in native.0.iter().enumerate() {
         for &(c, bits) in row {
@@ -68,7 +99,13 @@ fn sweep_bits_survive_chunking_and_forced_scalar_isa() {
         }
     }
     assert_eq!(native.1, row_argmax(&dense));
-    assert_eq!(native.2, trusted_pairs(&dense));
+    assert_eq!(native.2, oracle_trusted_pairs(&dense));
+    let mut integrated = DenseMatrix::zeros(ns, nt);
+    for &w in &WEIGHTS {
+        integrated.add_scaled_inplace(&dense, w).unwrap();
+    }
+    let integrated: Vec<u64> = integrated.data().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(native.3, integrated);
 
     // Chunk counts and cache budgets never change a bit on the native ISA.
     for chunks in [2usize, 3, 7, 12] {
@@ -82,8 +119,8 @@ fn sweep_bits_survive_chunking_and_forced_scalar_isa() {
     }
 
     // Forced-scalar kernels reproduce the same bits for every chunk split —
-    // the new combine-argmax / threshold-scan kernels are scalar-pinned just
-    // like the GEMM and combine kernels before them.
+    // the combine-argmax / threshold-scan / AXPY kernels are scalar-pinned
+    // just like the GEMM.
     force_isa(Some(Isa::Scalar)).expect("scalar is always available");
     let result = std::panic::catch_unwind(|| {
         for chunks in [1usize, 3, 12] {

@@ -136,17 +136,6 @@ pub fn top_k_mean_finish(top: &[f64], k: usize) -> f64 {
     top.iter().sum::<f64>() / k as f64
 }
 
-/// Computes the mean of the top-`k` entries of every row of `m` in parallel.
-pub fn row_top_k_means(m: &DenseMatrix, k: usize) -> Vec<f64> {
-    parallel_map(m.rows(), |r| top_k_mean(m.row(r), k))
-}
-
-/// Computes the mean of the top-`k` entries of every column of `m`.
-pub fn col_top_k_means(m: &DenseMatrix, k: usize) -> Vec<f64> {
-    let t = m.transpose();
-    row_top_k_means(&t, k)
-}
-
 /// Index of the maximum entry of `values` (ties broken towards the lower
 /// index); `None` when empty.
 pub fn argmax(values: &[f64]) -> Option<usize> {
@@ -316,13 +305,6 @@ mod tests {
             // bit-for-bit.
             assert_eq!(top_k_mean_finish(&top, k), top_k_mean(&v, k), "k={k}");
         }
-    }
-
-    #[test]
-    fn row_and_col_top_k() {
-        let m = DenseMatrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 6.0, 5.0, 4.0]).unwrap();
-        assert_eq!(row_top_k_means(&m, 2), vec![2.5, 5.5]);
-        assert_eq!(col_top_k_means(&m, 1), vec![6.0, 5.0, 4.0]);
     }
 
     #[test]

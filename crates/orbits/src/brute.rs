@@ -115,6 +115,7 @@ mod tests {
     use htc_graph::generators::{erdos_renyi_gnm, seeded_rng};
     use htc_graph::Graph;
     use proptest::prelude::*;
+    use rand::Rng;
 
     /// The production counter must agree with the brute-force oracle.
     fn assert_counters_agree(graph: &Graph) {
@@ -165,6 +166,33 @@ mod tests {
         }
     }
 
+    /// A graph of edge density below 0.05 whose edges mostly hang off two
+    /// adjacent hubs, so it has high-degree nodes, shared hub neighbours
+    /// (triangles, diamonds) and a few leaf–leaf edges (paths, cycles).
+    fn sparse_hub_graph(seed: u64, n: usize) -> Graph {
+        let mut rng = seeded_rng(seed);
+        // The largest edge count with 2e / (n(n-1)) < 0.05.
+        let budget = (n * (n - 1) - 1) / 40;
+        // Hub 0 starts with a third of the budget; the rest mostly attach
+        // to one of the two hubs.
+        let mut edges: Vec<(usize, usize)> = (1..=budget / 3).map(|leaf| (0, leaf)).collect();
+        let mut attempts = 0;
+        while edges.len() < budget && attempts < 100 * budget {
+            attempts += 1;
+            let a = if rng.gen_range(0.0..1.0) < 0.7 {
+                rng.gen_range(0..2usize)
+            } else {
+                rng.gen_range(2..n)
+            };
+            let b = rng.gen_range(2..n);
+            let e = (a.min(b), a.max(b));
+            if a != b && !edges.contains(&e) {
+                edges.push(e);
+            }
+        }
+        Graph::from_edges(n, &edges).unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -174,6 +202,16 @@ mod tests {
         fn fast_counter_matches_brute_force(seed in 0u64..10_000, n in 4usize..13, extra in 0usize..24) {
             let mut rng = seeded_rng(seed);
             let g = erdos_renyi_gnm(n, n + extra, &mut rng);
+            assert_counters_agree(&g);
+        }
+
+        /// Property: the counter matches the oracle on sparse, hub-heavy
+        /// graphs (density below 0.05, the regime of every fig8 graph).
+        #[test]
+        fn fast_counter_matches_brute_force_on_sparse_hub_graphs(seed in 0u64..10_000, n in 20usize..41) {
+            let g = sparse_hub_graph(seed, n);
+            prop_assert!(((2 * g.num_edges()) as f64 / (n * (n - 1)) as f64) < 0.05);
+            prop_assert!(g.max_degree() >= 4);
             assert_counters_agree(&g);
         }
 

@@ -7,42 +7,36 @@
 //! * orbit 0 is always 1 (the edge itself);
 //! * orbits 1–2 (two-edge chain, triangle) follow analytically from the
 //!   degrees and the common-neighbour count;
-//! * orbits 3–12 are obtained by enumerating every connected induced 4-node
-//!   subgraph containing `(u, v)` exactly once and classifying it with
-//!   [`crate::orbit::classify_edge_in_four`].
+//! * orbits 3–12 come from the connected induced 4-node subgraphs
+//!   containing `(u, v)`.
 //!
-//! The enumeration splits the two extra nodes `{w, x}` into two disjoint
-//! cases so that each node set is visited exactly once:
+//! Each edge first flags the nodes of its joint neighbourhood
+//! `J = (N(u) ∪ N(v)) \ {u, v}` with their *side*: adjacent to `u`, to `v`,
+//! or to both.  The triangles of `(u, v)` are the nodes flagged "both".  The
+//! two extra nodes `{w, x}` of a 4-node subgraph then fall into two disjoint
+//! cases, so each node set is counted exactly once:
 //!
-//! 1. both `w` and `x` are adjacent to `u` or `v` (take unordered pairs from
-//!    the joint neighbourhood), or
-//! 2. `w` is adjacent to `u` or `v` while `x` is adjacent only to `w`.
+//! 1. both `w` and `x` lie in `J`, or
+//! 2. `w` lies in `J` while `x` is adjacent only to `w`.
 //!
-//! The cost is `O(e · D²)` in the worst case — the same asymptotic complexity
-//! as the Orca algorithm the paper relies on — and the work is parallelised
-//! over edges.
-//!
-//! # Sparse-aware 3-node stage
-//!
-//! Below [`SPARSE_DENSITY_THRESHOLD`] the per-edge common-neighbour
-//! intersections of the 3-node stage are replaced by a single CSR product
-//! `A²` (see [`CsrMatrix::matmul_sparse`]): `A²(u, v)` *is* the
-//! common-neighbour count of `(u, v)`, so one shared sparse product amortises
-//! the triangle work across all edges instead of re-intersecting adjacency
-//! lists edge by edge.  Both paths produce identical counts — the dispatch
-//! in [`count_edge_orbits`] is purely a performance decision, and a test
-//! pins the equivalence on random graphs.
+//! The orbit of `(u, v)` in `{u, v, w, x}` depends only on the two sides and
+//! on whether `w ~ x`, so a 32-entry table built once from
+//! [`classify_edge_in_four`] replaces every per-subgraph classification and
+//! adjacency search.  One pass over the neighbours of each `w ∈ J` counts
+//! the adjacent case-1 pairs and the case-2 nodes per side class; the
+//! non-adjacent case-1 pairs are the remaining pairs of each class.  The
+//! cost is `O(deg u + deg v + Σ_{w∈J} deg w)` per edge, within the
+//! `O(e · D²)` bound of the Orca algorithm the paper relies on, and the work
+//! is parallelised over edges.
 
 use crate::orbit::{classify_edge_in_four, EdgeOrbit, NUM_EDGE_ORBITS};
 use htc_graph::Graph;
-use htc_linalg::parallel::parallel_map;
-use htc_linalg::CsrMatrix;
+use htc_linalg::parallel::parallel_rows_mut;
 
-/// Edge density `2e / (n(n-1))` below which [`count_edge_orbits`] switches
-/// the 3-node stage to the shared `A²` CSR product.  Large-tier inputs
-/// (social / co-author networks) sit far below this; small dense toys keep
-/// the allocation-free per-edge intersections.
-pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.05;
+/// Side flag of a node adjacent to the counted edge's `u` endpoint.
+const NEAR_U: u8 = 1;
+/// Side flag of a node adjacent to the counted edge's `v` endpoint.
+const NEAR_V: u8 = 2;
 
 /// Per-edge orbit counts for a whole graph.
 ///
@@ -89,136 +83,133 @@ impl EdgeOrbitCounts {
     }
 }
 
-/// Counts the 13 edge orbits for every edge of `graph`, choosing the
-/// 3-node strategy by edge density (see [`SPARSE_DENSITY_THRESHOLD`]).
+/// Counts the 13 edge orbits for every edge of `graph`.
 pub fn count_edge_orbits(graph: &Graph) -> EdgeOrbitCounts {
-    if graph_density(graph) < SPARSE_DENSITY_THRESHOLD {
-        count_edge_orbits_sparse(graph)
-    } else {
-        count_edge_orbits_enumerated(graph)
-    }
-}
-
-/// Edge density `2e / (n(n-1))`; 0 for graphs with fewer than two nodes.
-fn graph_density(graph: &Graph) -> f64 {
-    let n = graph.num_nodes();
-    if n < 2 {
-        return 0.0;
-    }
-    (2 * graph.num_edges()) as f64 / (n * (n - 1)) as f64
-}
-
-/// The fully enumerated counter: per-edge adjacency-list intersections for
-/// the 3-node orbits, 4-node enumeration for the rest.
-pub fn count_edge_orbits_enumerated(graph: &Graph) -> EdgeOrbitCounts {
     let edges = graph.edges().to_vec();
-    let edge_counts = parallel_map(edges.len(), |i| {
-        let (u, v) = edges[i];
-        count_single_edge(graph, u, v)
+    let table = orbit_table();
+    let mut edge_counts = vec![[0u64; NUM_EDGE_ORBITS]; edges.len()];
+    parallel_rows_mut(&mut edge_counts, 1, |start, chunk| {
+        let mut side = vec![0u8; graph.num_nodes()];
+        for (offset, counts) in chunk.iter_mut().enumerate() {
+            let (u, v) = edges[start + offset];
+            *counts = count_edge(graph, u, v, &table, &mut side);
+        }
     });
     EdgeOrbitCounts { edges, edge_counts }
 }
 
-/// The sparse-aware counter: triangle counts come from one shared CSR
-/// product `A²` instead of per-edge intersections; the 4-node enumeration
-/// is unchanged.  Produces counts identical to
-/// [`count_edge_orbits_enumerated`].
-pub fn count_edge_orbits_sparse(graph: &Graph) -> EdgeOrbitCounts {
-    let edges = graph.edges().to_vec();
-    let n = graph.num_nodes();
-    let mut triplets = Vec::with_capacity(2 * edges.len());
-    for &(u, v) in &edges {
-        triplets.push((u, v, 1.0));
-        triplets.push((v, u, 1.0));
-    }
-    let adjacency = CsrMatrix::from_triplets(n, n, &triplets)
-        .expect("edge indices come from a validated graph");
-    let squared = adjacency
-        .matmul_sparse(&adjacency)
-        .expect("A is square, so A·A shapes agree");
-    let edge_counts = parallel_map(edges.len(), |i| {
-        let (u, v) = edges[i];
-        let mut counts = [0u64; NUM_EDGE_ORBITS];
-        counts[EdgeOrbit::PlainEdge.index()] = 1;
-        // A²(u, v) sums 1·1 over exactly the common neighbours of u and v:
-        // an integer-valued f64, exact well past any reachable graph size.
-        let triangles = squared.get(u, v) as u64;
-        let du = graph.degree(u) as u64;
-        let dv = graph.degree(v) as u64;
-        counts[EdgeOrbit::TriangleEdge.index()] = triangles;
-        counts[EdgeOrbit::ChainEdge.index()] = (du - 1 - triangles) + (dv - 1 - triangles);
-        count_four_node_orbits(graph, u, v, &mut counts);
-        counts
-    });
-    EdgeOrbitCounts { edges, edge_counts }
+/// Index into [`orbit_table`]: the sides of the extra nodes `w` and `x`
+/// and whether they are adjacent.
+fn table_index(side_w: u8, side_x: u8, adjacent: bool) -> usize {
+    usize::from(side_w) | usize::from(side_x) << 2 | usize::from(adjacent) << 4
 }
 
-/// Counts the orbits of a single edge.  Exposed for tests and incremental use.
-pub fn count_single_edge(graph: &Graph, u: usize, v: usize) -> [u64; NUM_EDGE_ORBITS] {
+/// The orbit of edge `(u, v)` in the induced subgraph `{u, v, w, x}` for
+/// every [`table_index`]; `None` where that subgraph is disconnected.
+fn orbit_table() -> [Option<EdgeOrbit>; 32] {
+    std::array::from_fn(|i| {
+        let (side_w, side_x, adjacent) = (i & 3, (i >> 2) & 3, i >> 4 == 1);
+        let mut adj = [[false; 4]; 4];
+        let links = [
+            (0, 1, true),
+            (0, 2, side_w & 1 != 0),
+            (1, 2, side_w & 2 != 0),
+            (0, 3, side_x & 1 != 0),
+            (1, 3, side_x & 2 != 0),
+            (2, 3, adjacent),
+        ];
+        for (a, b, linked) in links {
+            adj[a][b] = linked;
+            adj[b][a] = linked;
+        }
+        classify_edge_in_four(&adj)
+    })
+}
+
+/// Counts the orbits of edge `(u, v)`.  `side` is an all-zero per-node
+/// flag array, left all-zero on return.
+fn count_edge(
+    graph: &Graph,
+    u: usize,
+    v: usize,
+    table: &[Option<EdgeOrbit>; 32],
+    side: &mut [u8],
+) -> [u64; NUM_EDGE_ORBITS] {
     let mut counts = [0u64; NUM_EDGE_ORBITS];
     counts[EdgeOrbit::PlainEdge.index()] = 1;
+    for &w in graph.neighbors(u) {
+        if w != v {
+            side[w] |= NEAR_U;
+        }
+    }
+    for &w in graph.neighbors(v) {
+        if w != u {
+            side[w] |= NEAR_V;
+        }
+    }
+    // Every node of J exactly once: N(u) \ {v}, then the nodes of N(v)
+    // that are not also near u.
+    let joint = graph.neighbors(u).iter().filter(|&&w| w != v).chain(
+        graph
+            .neighbors(v)
+            .iter()
+            .filter(|&&w| w != u && side[w] == NEAR_V),
+    );
+    // Per side class: nodes of J, ordered adjacent pairs inside J, and
+    // case-2 nodes outside J hanging off a node of that class.
+    let mut class_size = [0u64; 4];
+    let mut adjacent = [[0u64; 4]; 4];
+    let mut pendant = [0u64; 4];
+    for &w in joint {
+        let sw = side[w];
+        class_size[usize::from(sw)] += 1;
+        for &x in graph.neighbors(w) {
+            if x == u || x == v {
+                continue;
+            }
+            match side[x] {
+                0 => pendant[usize::from(sw)] += 1,
+                sx => adjacent[usize::from(sw)][usize::from(sx)] += 1,
+            }
+        }
+    }
 
-    // --- 3-node graphlets (analytic) -------------------------------------
-    let common = graph.common_neighbors(u, v);
-    let triangles = common.len() as u64;
+    let triangles = class_size[usize::from(NEAR_U | NEAR_V)];
     let du = graph.degree(u) as u64;
     let dv = graph.degree(v) as u64;
     counts[EdgeOrbit::TriangleEdge.index()] = triangles;
     // Nodes adjacent to exactly one endpoint form a two-edge chain with (u,v).
     counts[EdgeOrbit::ChainEdge.index()] = (du - 1 - triangles) + (dv - 1 - triangles);
 
-    count_four_node_orbits(graph, u, v, &mut counts);
-    counts
-}
-
-/// Adds the 4-node orbit counts (orbits 3–12) of edge `(u, v)` to `counts`.
-fn count_four_node_orbits(graph: &Graph, u: usize, v: usize, counts: &mut [u64; NUM_EDGE_ORBITS]) {
-    // --- 4-node graphlets (enumeration) ----------------------------------
-    // Joint neighbourhood W = (N(u) ∪ N(v)) \ {u, v}, sorted and deduplicated.
-    let mut joint: Vec<usize> = graph
-        .neighbors(u)
-        .iter()
-        .chain(graph.neighbors(v))
-        .copied()
-        .filter(|&w| w != u && w != v)
-        .collect();
-    joint.sort_unstable();
-    joint.dedup();
-
-    let mut classify = |w: usize, x: usize| {
-        let nodes = [u, v, w, x];
-        let mut adj = [[false; 4]; 4];
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                if graph.has_edge(nodes[i], nodes[j]) {
-                    adj[i][j] = true;
-                    adj[j][i] = true;
-                }
-            }
-        }
-        if let Some(orbit) = classify_edge_in_four(&adj) {
-            counts[orbit.index()] += 1;
-        }
+    let mut add = |index: usize, n: u64| {
+        let orbit =
+            table[index].expect("w lies in J and x touches w, so the subgraph is connected");
+        counts[orbit.index()] += n;
     };
+    for sw in 1..=3u8 {
+        let a = usize::from(sw);
+        add(table_index(sw, 0, true), pendant[a]);
+        for sx in sw..=3u8 {
+            let b = usize::from(sx);
+            // Unordered pairs of the class: an adjacent pair with equal
+            // sides was seen from both of its nodes.
+            let (pairs, linked) = if a == b {
+                (
+                    class_size[a] * class_size[a].saturating_sub(1) / 2,
+                    adjacent[a][a] / 2,
+                )
+            } else {
+                (class_size[a] * class_size[b], adjacent[a][b])
+            };
+            add(table_index(sw, sx, true), linked);
+            add(table_index(sw, sx, false), pairs - linked);
+        }
+    }
 
-    // Case 1: both extra nodes are adjacent to {u, v}.
-    for (a, &w) in joint.iter().enumerate() {
-        for &x in &joint[a + 1..] {
-            classify(w, x);
-        }
+    for &w in graph.neighbors(u).iter().chain(graph.neighbors(v)) {
+        side[w] = 0;
     }
-    // Case 2: w adjacent to {u, v}, x adjacent only to w.
-    for &w in &joint {
-        for &x in graph.neighbors(w) {
-            if x == u || x == v {
-                continue;
-            }
-            if joint.binary_search(&x).is_ok() {
-                continue; // handled by case 1
-            }
-            classify(w, x);
-        }
-    }
+    counts
 }
 
 #[cfg(test)]
@@ -345,17 +336,22 @@ mod tests {
         assert_eq!(sig[1][EdgeOrbit::ChainEdge.index()], 2);
     }
 
+    /// The counter must agree with the brute-force oracle on every edge.
+    fn assert_matches_brute_force(g: &Graph) {
+        let brute = crate::brute::brute_force_edge_orbits(g);
+        let counts = count_edge_orbits(g);
+        assert_eq!(counts.edges.len(), brute.len());
+        for (edge, c) in counts.edges.iter().zip(&counts.edge_counts) {
+            assert_eq!(c, &brute[edge], "edge {edge:?}");
+        }
+    }
+
     #[test]
-    fn sparse_and_enumerated_paths_are_identical() {
+    fn brute_force_agrees_on_random_and_named_graphs() {
         use htc_graph::generators::{erdos_renyi_gnm, seeded_rng};
         for (seed, nodes, edges) in [(7, 30, 45), (13, 50, 120), (29, 25, 160)] {
             let mut rng = seeded_rng(seed);
-            let g = erdos_renyi_gnm(nodes, edges, &mut rng);
-            assert_eq!(
-                count_edge_orbits_sparse(&g),
-                count_edge_orbits_enumerated(&g),
-                "paths diverged on G({nodes}, {edges}) seed {seed}"
-            );
+            assert_matches_brute_force(&erdos_renyi_gnm(nodes, edges, &mut rng));
         }
         for g in [
             Graph::complete(5),
@@ -363,26 +359,18 @@ mod tests {
             Graph::star(5),
             Graph::cycle(7),
         ] {
-            assert_eq!(
-                count_edge_orbits_sparse(&g),
-                count_edge_orbits_enumerated(&g)
-            );
+            assert_matches_brute_force(&g);
         }
     }
 
     #[test]
-    fn dispatch_agrees_with_both_paths_across_the_threshold() {
-        // Sparse side: 40 nodes, 30 edges → density ≈ 0.038 < 0.05.
+    fn brute_force_agrees_below_and_above_five_percent_density() {
+        // 40 nodes, 30 edges: density ≈ 0.038, the regime of the fig8
+        // graphs.  K5 has density 1.
         use htc_graph::generators::{erdos_renyi_gnm, seeded_rng};
         let mut rng = seeded_rng(3);
-        let sparse = erdos_renyi_gnm(40, 30, &mut rng);
-        assert_eq!(
-            count_edge_orbits(&sparse),
-            count_edge_orbits_enumerated(&sparse)
-        );
-        // Dense side: K5 has density 1.
-        let dense = Graph::complete(5);
-        assert_eq!(count_edge_orbits(&dense), count_edge_orbits_sparse(&dense));
+        assert_matches_brute_force(&erdos_renyi_gnm(40, 30, &mut rng));
+        assert_matches_brute_force(&Graph::complete(5));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! ablation variants through the session, progress/cancellation, and
 //! persistence warm starts.
 
+#[path = "../crates/core/tests/support/lisi_oracle.rs"]
+mod lisi_oracle;
+
 use htc::core::finetune::refine_orbit;
 use htc::core::integrate::{orbit_importance, AlignmentAccumulator};
-use htc::core::lisi::lisi_matrix;
 use htc::core::pipeline::stages;
 use htc::core::{
     AlignmentSession, HtcAligner, HtcConfig, HtcError, HtcResult, HtcVariant, ProgressObserver,
@@ -133,13 +135,13 @@ fn refine_matches_refining_every_orbit_on_its_own() {
         assert_eq!(got.trusted_count, alone.trusted_count, "orbit {k}");
         assert_eq!(got.iterations, alone.iterations, "orbit {k}");
     }
-    // Integration adds one LISI matrix per orbit, in orbit order.
+    // Integration adds one (oracle) LISI matrix per orbit, in orbit order.
     let counts: Vec<usize> = refined.iter().map(|r| r.trusted_count).collect();
     let gamma = orbit_importance(&counts);
     let mut expected = AlignmentAccumulator::new(source_attrs.rows(), target_attrs.rows());
     for (r, &weight) in refined.iter().zip(&gamma) {
         if weight != 0.0 {
-            let m_k = lisi_matrix(
+            let m_k = lisi_oracle::oracle_lisi(
                 &r.source_embedding,
                 &r.target_embedding,
                 config.nearest_neighbors,
