@@ -29,8 +29,8 @@ use crate::pool::UpstreamPool;
 use crate::shard::{ShardSet, ShardState};
 use htc_metrics::Counter;
 use htc_serve::http::{
-    read_request_limited, read_response_head, relay_response, write_json_response,
-    write_json_response_with, Client, HttpError, ReadLimits, RelayError, Request,
+    read_dispatched_request, read_response_head, relay_response, write_json_response,
+    write_json_response_with, Client, ReadLimits, RelayError, Request,
 };
 use htc_serve::json::{self, Json};
 use htc_serve::routing_fingerprint;
@@ -38,7 +38,6 @@ use htc_serve::runtime::{
     default_workers, Conn, ConnHandler, ConnectionRuntime, Disposition, RuntimeConfig,
     RuntimeMetrics, ShutdownSignal,
 };
-use std::io::BufRead;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -180,33 +179,8 @@ impl Router {
 fn handle_connection(conn: &mut Conn, shared: &Arc<RouterShared>) -> Disposition {
     let limits = ReadLimits::default();
     loop {
-        if !conn.has_buffered() {
-            // First request of the burst, or a clean FIN from a parked peer:
-            // peek so a normal hangup is not answered with a 400.
-            let reader = conn.reader_mut();
-            if reader
-                .get_ref()
-                .set_read_timeout(Some(limits.stall))
-                .is_err()
-            {
-                return Disposition::Close;
-            }
-            match reader.fill_buf() {
-                Ok([]) | Err(_) => return Disposition::Close,
-                Ok(_) => {}
-            }
-        }
-        let request = match read_request_limited(conn.reader_mut(), &limits) {
-            Ok(request) => request,
-            Err(HttpError { status, message }) => {
-                let body = json::obj(vec![
-                    ("error", json::str(message)),
-                    ("kind", json::str("http")),
-                ])
-                .render();
-                let _ = write_json_response(conn.stream_mut(), status, &body, false);
-                return Disposition::Close;
-            }
+        let Some(request) = read_dispatched_request(conn, &limits, &shared.runtime_metrics) else {
+            return Disposition::Close;
         };
         shared.runtime_metrics.total_requests.inc();
         let keep_alive = request.keep_alive && !shared.shutdown.is_triggered();

@@ -6,13 +6,16 @@
 //! Covered here: fingerprint→shard stickiness, failover serving warm and
 //! bit-identically from the shared spill directory after the owner dies,
 //! `/stats` aggregation summing to the per-shard values, chunked-response
-//! relay, and a full drain.
+//! relay, the request-smuggling probes and chunked requests, and a full
+//! drain.
 
 use htc_datasets::{generate_pair, SyntheticPairConfig};
 use htc_fleet::{owner, Router, RouterConfig, ShardSet};
 use htc_serve::http::Client;
 use htc_serve::json::{self, network_spec, Json};
 use htc_serve::{routing_fingerprint, Server, ServerConfig};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -290,6 +293,68 @@ fn chunked_upstream_responses_relay_transparently() {
     // framing left the keep-alive byte stream aligned.
     let again = client.request("GET", "/healthz", "").unwrap();
     assert_eq!(again.status, 200);
+
+    router.shutdown();
+    shard.shutdown();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// Writes `raw` on a fresh keep-alive connection and collects the status of
+/// every response that comes back before the connection closes or goes
+/// quiet for 300 ms.
+fn statuses(addr: SocketAddr, raw: &[u8]) -> Vec<u16> {
+    let mut client = Client::connect(addr).unwrap();
+    client.set_response_deadline(Duration::from_millis(300));
+    client.stream_mut().write_all(raw).unwrap();
+    let mut statuses = Vec::new();
+    while let Ok(response) = client.read() {
+        statuses.push(response.status);
+    }
+    statuses
+}
+
+#[test]
+fn smuggling_probes_get_one_response_through_the_router() {
+    let cache = tmp_dir("smuggling");
+    let shard = start_shard(0, &cache);
+    let set = shard_set(&[&shard]);
+    let router = Router::start(RouterConfig::default(), Arc::clone(&set)).unwrap();
+
+    let hidden = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+    // Duplicate Content-Length with a request as the body: one 400, close.
+    let duplicate_length = format!(
+        "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nContent-Length: 0\r\n\r\n{hidden}",
+        hidden.len()
+    );
+    assert_eq!(statuses(router.addr(), duplicate_length.as_bytes()), [400]);
+    // A chunked body hiding a request: the shard answers the decoded
+    // (non-JSON) body, and the hidden request is never served.
+    let chunked_hiding = format!(
+        "POST /align HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{hidden}\r\n0\r\n\r\n",
+        hidden.len()
+    );
+    assert_eq!(statuses(router.addr(), chunked_hiding.as_bytes()), [400]);
+
+    // A well-formed chunked align is decoded and forwarded upstream with a
+    // Content-Length; the answer matches the shard's own.
+    let body = align_body(81);
+    let (first, second) = body.split_at(body.len() / 2);
+    let chunked = format!(
+        "POST /align HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
+         {:x}\r\n{first}\r\n{:x}\r\n{second}\r\n0\r\n\r\n",
+        first.len(),
+        second.len()
+    );
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.stream_mut().write_all(chunked.as_bytes()).unwrap();
+    let relayed = client.read().unwrap();
+    assert_eq!(relayed.status, 200, "{}", relayed.body_str());
+    let mut direct = Client::connect(shard.addr()).unwrap();
+    let expected = direct.request("POST", "/align", &body).unwrap();
+    assert_eq!(
+        result_payload(relayed.body_str()),
+        result_payload(expected.body_str())
+    );
 
     router.shutdown();
     shard.shutdown();

@@ -6,27 +6,52 @@
 //! hyper/axum.  The subset implemented here is deliberately small and
 //! deliberately defensive: header and body sizes are capped so a malicious
 //! peer cannot make the server buffer unbounded bytes, and every parse
-//! failure maps to a `4xx` instead of a panic.
+//! failure maps to a `4xx`/`501` instead of a panic.
+//!
+//! ## One message reader
+//!
+//! Every message this crate reads — a request at the server or the fleet
+//! router, a response at the [`Client`], an upstream response the router
+//! relays — goes through one reader: one bounded line reader, one
+//! field-line loop (request heads, response heads and chunked trailers, each
+//! head within [`MAX_HEAD_BYTES`]), one framing decision and one body reader
+//! that hands decoded bytes to its caller (a `Vec`, or the relay's
+//! downstream socket).  Bodies grow only as their bytes arrive, never from a
+//! size the peer declares.  The framing follows RFC 9112 §6.3, for requests
+//! and responses alike:
+//!
+//! * a repeated `Content-Length`, one that is not all ASCII digits, one next
+//!   to a `Transfer-Encoding`, a field line without a token name directly
+//!   followed by its colon, or a chunk size that is not all hex digits is a
+//!   `400`;
+//! * any transfer coding other than one final `chunked` is a `501`;
+//! * a head past [`MAX_HEAD_BYTES`] is a `431`, a request body (declared, or
+//!   decoded from chunks) past [`MAX_BODY_BYTES`] a `413`.
+//!
+//! Reads run under one of two deadline policies:
+//!
+//! * **server** ([`ReadLimits`]): the request head must *complete* within a
+//!   head deadline (a slow-header drip cannot ride per-read timeouts
+//!   forever), each read must progress within a stall cap (a mid-body stall
+//!   is torn down promptly), and the whole request is bounded by a total
+//!   deadline.  All three map to `408`, counted as `stall_timeouts_closed`;
+//! * **client** (one response deadline, used by [`Client`],
+//!   [`read_response_head`] and [`relay_response`]): each wait is capped at
+//!   one second and retried until the deadline runs out, so a server
+//!   trickling bytes cannot stretch the exchange past it.
 //!
 //! ## Connection lifecycle
 //!
 //! A connection serves **many requests per socket**, but a worker only ever
 //! holds it for one request *burst*: between requests the socket parks in
 //! the runtime's reactor (`crate::reactor`), and when it becomes readable a
-//! pool worker parses one request with [`read_request`], writes one
-//! response, serves any pipelined requests already buffered, and hands the
-//! socket back to the reactor while [`Request::keep_alive`] holds.
+//! pool worker parses one request with [`read_dispatched_request`], writes
+//! one response, serves any pipelined requests already buffered, and hands
+//! the socket back to the reactor while [`Request::keep_alive`] holds.
 //! `HTTP/1.1` defaults to keep-alive, `HTTP/1.0` to close; a
 //! `Connection: close`/`keep-alive` header overrides either way.  Any parse
 //! error closes the connection after the error response — resynchronising
 //! inside a hostile byte stream is not worth the attack surface.
-//!
-//! Slow-client defenses live in [`ReadLimits`]: the request head must
-//! *complete* within a head deadline (a slow-header drip cannot ride
-//! per-read timeouts forever), each read must progress within a stall cap
-//! (a mid-body stall is torn down promptly), and the whole request is
-//! bounded by a total deadline.  All three map to `408`, and the server
-//! layer counts them as `stall_timeouts_closed`.
 //!
 //! ## Responses
 //!
@@ -37,12 +62,15 @@
 //! implements [`std::fmt::Write`], which lets the same rendering code fill
 //! either a `String` or the wire.
 
+use crate::json;
+use crate::runtime::{Conn, RuntimeMetrics};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Upper bound on the request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 16 * 1024;
+/// Upper bound on a message head (start line + field lines), and on one
+/// chunk-size line plus the trailers of a chunked body.
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.  Inline edge lists and attribute matrices
 /// for graphs in this workspace's serving range fit comfortably; anything
 /// larger should ship as a persisted artifact path instead.
@@ -60,6 +88,10 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 /// than the whole-request deadline: heads are tiny, so a head that trickles
 /// for this long is a slowloris, not a slow network.
 const HEAD_DEADLINE: Duration = Duration::from_secs(10);
+/// Longest single wait under the client deadline policy.  [`Client::closed`]
+/// probes with whatever timeout the last read armed, so this cap also keeps
+/// that probe short on a live socket.
+const CLIENT_WAIT: Duration = Duration::from_secs(1);
 /// Chunked responses buffer up to this much before writing a chunk.
 const CHUNK_BYTES: usize = 64 * 1024;
 
@@ -105,6 +137,8 @@ impl ReadLimits {
 pub struct Request {
     pub method: String,
     pub path: String,
+    /// The decoded body, whether it arrived with a `Content-Length` or
+    /// chunked.
     pub body: Vec<u8>,
     /// Whether the connection should stay open after the response, per the
     /// request's HTTP version and `Connection` header.
@@ -118,12 +152,18 @@ pub struct Request {
 impl Request {
     /// The first header with this (case-insensitive) name, if any.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
+}
+
+/// The one header lookup behind [`Request::header`],
+/// [`ResponseHead::header`] and [`ClientResponse::header`]: names are
+/// stored lower-cased, so the comparison needs no allocation.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
 }
 
 /// A request-level failure that should turn into an HTTP error response.
@@ -142,92 +182,259 @@ impl HttpError {
     }
 }
 
-/// Arms the socket's read timeout with whatever is shorter: the per-read
-/// stall cap or the time left until the phase deadline.  A spent deadline is
-/// a `408`.
-fn arm_read_timeout(
-    reader: &BufReader<TcpStream>,
-    deadline: Instant,
-    stall: Duration,
-) -> Result<(), HttpError> {
-    let remaining = deadline
-        .checked_duration_since(Instant::now())
-        .filter(|d| !d.is_zero())
-        .ok_or_else(|| HttpError {
-            status: 408,
-            message: "request took too long to arrive".into(),
-        })?;
-    reader
-        .get_ref()
-        .set_read_timeout(Some(remaining.min(stall)))
-        .map_err(|e| HttpError::bad_request(format!("socket: {e}")))
+/// Why reading a message failed.  The server maps it to an [`HttpError`],
+/// the client to a `String`.
+#[derive(Debug)]
+enum ReadError {
+    /// The message breaks framing or a size cap, or the connection failed
+    /// mid-message; the server answers with this status.
+    Invalid(u16, String),
+    /// The deadline ran out, or (server policy) one read stalled.
+    Timeout,
+    /// The body's destination failed (the relay's downstream write).
+    Sink(std::io::Error),
 }
 
-fn read_error(e: std::io::Error, what: &str) -> HttpError {
-    if matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    ) {
-        HttpError {
-            status: 408,
-            message: format!("timed out reading {what}"),
-        }
-    } else {
-        HttpError::bad_request(format!("reading {what}: {e}"))
-    }
+fn invalid(message: impl Into<String>) -> ReadError {
+    ReadError::Invalid(400, message.into())
 }
 
-/// Reads one `\n`-terminated line, never buffering more than `limit` bytes —
-/// `BufRead::read_line` has no cap of its own, so a peer streaming endless
-/// bytes with no newline would otherwise grow the line String unboundedly.
-fn read_line_limited(
-    reader: &mut BufReader<TcpStream>,
-    limit: usize,
-    deadline: Instant,
-    stall: Duration,
-    what: &str,
-) -> Result<String, HttpError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        arm_read_timeout(reader, deadline, stall)?;
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) => return Err(read_error(e, what)),
-        };
-        if buf.is_empty() {
-            return Err(HttpError::bad_request(format!(
-                "connection closed mid-{what}"
-            )));
-        }
-        let (chunk, found_newline) = match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => (&buf[..=pos], true),
-            None => (buf, false),
-        };
-        if line.len() + chunk.len() > limit {
-            return Err(HttpError {
-                status: 431,
-                message: "request head too large".into(),
-            });
-        }
-        line.extend_from_slice(chunk);
-        let consumed = chunk.len();
-        reader.consume(consumed);
-        if found_newline {
-            return String::from_utf8(line)
-                .map_err(|_| HttpError::bad_request(format!("{what} is not UTF-8")));
+impl From<ReadError> for HttpError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Invalid(status, message) => HttpError { status, message },
+            ReadError::Timeout => HttpError {
+                status: 408,
+                message: "request took too long to arrive".into(),
+            },
+            ReadError::Sink(e) => HttpError::bad_request(format!("writing body: {e}")),
         }
     }
 }
 
-/// Reads one request from the connection's buffered reader with the default
-/// [`ReadLimits`].  The caller has already established that request bytes
-/// are (about to be) available — the reactor dispatched this connection as
-/// readable, or a pipelined request is buffered.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
-    read_request_limited(reader, &ReadLimits::default())
+impl From<ReadError> for String {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Invalid(_, message) => message,
+            ReadError::Timeout => "response deadline exceeded".into(),
+            ReadError::Sink(e) => format!("writing body: {e}"),
+        }
+    }
 }
 
-/// [`read_request`] with explicit read-progress deadlines: the head must
+/// How a message body is delimited.
+#[derive(Debug, Clone, Copy)]
+enum Framing {
+    Length(u64),
+    Chunked,
+}
+
+/// The one framing decision (RFC 9112 §6.3), for requests and responses
+/// alike.  `None` when the head declares no body framing at all.
+fn framing(fields: &[(String, String)]) -> Result<Option<Framing>, ReadError> {
+    let mut lengths = fields
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .map(|(_, value)| value.as_str());
+    let mut codings = fields
+        .iter()
+        .filter(|(name, _)| name == "transfer-encoding")
+        .flat_map(|(_, value)| value.split(','))
+        .map(str::trim);
+    let length = lengths.next();
+    if lengths.next().is_some() {
+        return Err(invalid("repeated Content-Length"));
+    }
+    match (codings.next(), length) {
+        (None, None) => Ok(None),
+        (None, Some(value)) => decimal(value)
+            .map(|n| Some(Framing::Length(n)))
+            .ok_or_else(|| invalid(format!("bad Content-Length {value:?}"))),
+        (Some(_), Some(_)) => Err(invalid("Transfer-Encoding together with Content-Length")),
+        (Some(coding), None)
+            if coding.eq_ignore_ascii_case("chunked") && codings.next().is_none() =>
+        {
+            Ok(Some(Framing::Chunked))
+        }
+        (Some(_), None) => Err(ReadError::Invalid(
+            501,
+            "only a single chunked transfer coding is implemented".into(),
+        )),
+    }
+}
+
+/// A non-empty run of ASCII digits as a number.  `str::parse` alone would
+/// also accept a leading `+`.
+fn decimal(s: &str) -> Option<u64> {
+    Some(s)
+        .filter(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|s| s.parse().ok())
+}
+
+/// The size on a chunk-size line: hex digits, optionally followed by
+/// `;`-separated chunk extensions (ignored).
+fn chunk_size(line: &str) -> Result<u64, ReadError> {
+    let digits = line
+        .split_once(';')
+        .map_or(line, |(size, _)| size)
+        .trim_end_matches([' ', '\t']);
+    Some(digits)
+        .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|d| u64::from_str_radix(d, 16).ok())
+        .ok_or_else(|| invalid(format!("bad chunk size {line:?}")))
+}
+
+/// Whether `s` is an RFC 9110 token — the only shape a field name may take.
+fn is_token(s: &str) -> bool {
+    !s.is_empty()
+        && s.bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
+}
+
+/// One message being read off a buffered socket under a deadline policy.
+struct MessageReader<'a> {
+    reader: &'a mut BufReader<TcpStream>,
+    deadline: Instant,
+    /// `Some(stall)` is the server policy: one read that waits `stall` is a
+    /// timeout.  `None` is the client policy: waits of at most
+    /// [`CLIENT_WAIT`] are retried until the deadline.
+    stall: Option<Duration>,
+}
+
+impl MessageReader<'_> {
+    /// Runs one read under the deadline policy — the one place that arms
+    /// the socket's read timeout.  A read of zero bytes means the peer
+    /// closed the connection mid-message.
+    fn wait(
+        &mut self,
+        mut read: impl FnMut(&mut BufReader<TcpStream>) -> std::io::Result<usize>,
+    ) -> Result<usize, ReadError> {
+        loop {
+            // Buffered bytes are served without touching the socket.
+            if self.reader.buffer().is_empty() {
+                let remaining = self
+                    .deadline
+                    .checked_duration_since(Instant::now())
+                    .filter(|d| !d.is_zero())
+                    .ok_or(ReadError::Timeout)?;
+                let cap = self.stall.unwrap_or(CLIENT_WAIT);
+                self.reader
+                    .get_ref()
+                    .set_read_timeout(Some(remaining.min(cap)))
+                    .map_err(|e| invalid(format!("socket: {e}")))?;
+            }
+            match read(self.reader) {
+                Ok(0) => return Err(invalid("connection closed mid-message")),
+                Ok(n) => return Ok(n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if is_stall_error(&e) && self.stall.is_none() => {}
+                Err(e) if is_stall_error(&e) => return Err(ReadError::Timeout),
+                Err(e) => return Err(invalid(format!("read failed: {e}"))),
+            }
+        }
+    }
+
+    /// One line up to its LF, charged against the head `budget` before it
+    /// is buffered; returned without its line ending.  Collected through
+    /// `fill_buf`/`consume` because `BufRead::read_line` has no cap, and
+    /// drops what it appended when a read times out.
+    fn line(&mut self, budget: &mut usize) -> Result<String, ReadError> {
+        let mut line = Vec::new();
+        loop {
+            self.wait(|r| r.fill_buf().map(<[u8]>::len))?;
+            let buf = self.reader.buffer();
+            let (take, done) = match buf.iter().position(|&b| b == b'\n') {
+                Some(pos) => (pos + 1, true),
+                None => (buf.len(), false),
+            };
+            *budget = budget
+                .checked_sub(take)
+                .ok_or_else(|| ReadError::Invalid(431, "message head too large".into()))?;
+            line.extend_from_slice(&buf[..take]);
+            self.reader.consume(take);
+            if done {
+                break;
+            }
+        }
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        String::from_utf8(line).map_err(|_| invalid("message head is not UTF-8"))
+    }
+
+    /// Field lines up to the empty line that ends a head or a trailer
+    /// section: lower-cased names with trimmed values, in arrival order.
+    fn fields(&mut self, budget: &mut usize) -> Result<Vec<(String, String)>, ReadError> {
+        let mut fields = Vec::new();
+        loop {
+            let line = self.line(budget)?;
+            if line.is_empty() {
+                return Ok(fields);
+            }
+            // No whitespace may sit before the colon (RFC 9112 §5.1).
+            let (name, value) = line
+                .split_once(':')
+                .filter(|(name, _)| is_token(name))
+                .ok_or_else(|| invalid("malformed field line"))?;
+            fields.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        }
+    }
+
+    /// The one body reader: hands each decoded piece of the body to `sink`,
+    /// `limit` bytes at most (`413` past it).  Chunk trailers are read and
+    /// dropped.
+    fn body(
+        &mut self,
+        framing: Framing,
+        limit: u64,
+        sink: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> Result<(), ReadError> {
+        let too_large = || ReadError::Invalid(413, format!("body exceeds {limit} bytes"));
+        match framing {
+            Framing::Length(length) if length > limit => Err(too_large()),
+            Framing::Length(length) => self.copy(length, sink),
+            Framing::Chunked => {
+                let mut total = 0u64;
+                loop {
+                    let mut budget = MAX_HEAD_BYTES;
+                    let size = chunk_size(&self.line(&mut budget)?)?;
+                    if size == 0 {
+                        self.fields(&mut budget)?;
+                        return Ok(());
+                    }
+                    total = total
+                        .checked_add(size)
+                        .filter(|&t| t <= limit)
+                        .ok_or_else(too_large)?;
+                    self.copy(size, sink)?;
+                    if !self.line(&mut budget)?.is_empty() {
+                        return Err(invalid("chunk data not followed by CRLF"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hands exactly `count` body bytes to `sink`, one bounded buffer at a
+    /// time, so memory follows the bytes that arrived.
+    fn copy(
+        &mut self,
+        mut count: u64,
+        sink: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> Result<(), ReadError> {
+        let mut buf = [0u8; 16 * 1024];
+        while count > 0 {
+            let want = count.min(buf.len() as u64) as usize;
+            let n = self.wait(|r| r.read(&mut buf[..want]))?;
+            sink(&buf[..n]).map_err(ReadError::Sink)?;
+            count -= n as u64;
+        }
+        Ok(())
+    }
+}
+
+/// Reads one request from a connection's buffered reader: the head must
 /// complete within `limits.head_deadline`, every read must progress within
 /// `limits.stall`, and the whole request must arrive within `limits.total`.
 pub fn read_request_limited(
@@ -235,84 +442,84 @@ pub fn read_request_limited(
     limits: &ReadLimits,
 ) -> Result<Request, HttpError> {
     let start = Instant::now();
-    let head_deadline = start + limits.head_deadline.min(limits.total);
-    let deadline = start + limits.total;
-    let stall = limits.stall;
-
-    let request_line =
-        read_line_limited(reader, MAX_HEAD_BYTES, head_deadline, stall, "request line")?;
+    let mut message = MessageReader {
+        reader,
+        deadline: start + limits.head_deadline.min(limits.total),
+        stall: Some(limits.stall),
+    };
+    let mut budget = MAX_HEAD_BYTES;
+    let request_line = message.line(&mut budget)?;
     let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| HttpError::bad_request("empty request line"))?
-        .to_string();
-    let path = parts
-        .next()
-        .ok_or_else(|| HttpError::bad_request("request line has no path"))?
-        .to_string();
+    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+        return Err(HttpError::bad_request("malformed request line"));
+    };
     // HTTP/1.1 (and anything newer or unstated) defaults to keep-alive;
     // HTTP/1.0 to close.
     let http_10 = parts.next() == Some("HTTP/1.0");
-
-    // Headers until the blank line; Content-Length and Connection matter to
-    // us.  The whole head shares the MAX_HEAD_BYTES budget, checked before
-    // buffering.
-    let mut head_budget = MAX_HEAD_BYTES.saturating_sub(request_line.len());
-    let mut content_length: usize = 0;
-    let mut keep_alive = !http_10;
-    let mut headers: Vec<(String, String)> = Vec::new();
-    loop {
-        let line = read_line_limited(reader, head_budget, head_deadline, stall, "headers")?;
-        head_budget = head_budget.saturating_sub(line.len());
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::bad_request("bad Content-Length"))?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            }
-            // Retained generically (bounded by the head budget above) so the
-            // server layer can read its extension headers.
-            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError {
-            status: 413,
-            message: format!("request body exceeds {MAX_BODY_BYTES} bytes"),
-        });
-    }
-    // The body is read in deadline-checked steps rather than one read_exact:
-    // a peer drip-feeding a large body must exhaust the request deadline,
-    // not hold the worker for content_length × per-read-timeout.
-    let mut body = vec![0u8; content_length];
-    let mut filled = 0;
-    while filled < content_length {
-        arm_read_timeout(reader, deadline, stall)?;
-        match reader.read(&mut body[filled..]) {
-            Ok(0) => return Err(HttpError::bad_request("connection closed mid-body")),
-            Ok(n) => filled += n,
-            Err(e) => return Err(read_error(e, "body")),
-        }
-    }
+    let headers = message.fields(&mut budget)?;
+    let keep_alive = match find_header(&headers, "connection") {
+        Some(v) if v.eq_ignore_ascii_case("close") => false,
+        Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
+        _ => !http_10,
+    };
+    let framing = framing(&headers)?.unwrap_or(Framing::Length(0));
+    message.deadline = start + limits.total;
+    let mut body = Vec::new();
+    message.body(framing, MAX_BODY_BYTES as u64, &mut |piece| {
+        body.extend_from_slice(piece);
+        Ok(())
+    })?;
     Ok(Request {
-        method,
-        path,
+        method: method.to_string(),
+        path: path.to_string(),
         body,
         keep_alive,
         headers,
     })
+}
+
+/// Reads the next request of a dispatched burst — the one read path of
+/// `htc-serve` and the fleet router.  `None` means close the connection: a
+/// clean FIN from a parked peer, a stalled read, or a request that failed to
+/// parse, which is answered with its error status first.  Timeouts count as
+/// `stall_timeouts_closed`.
+pub fn read_dispatched_request(
+    conn: &mut Conn,
+    limits: &ReadLimits,
+    metrics: &RuntimeMetrics,
+) -> Option<Request> {
+    if !conn.has_buffered() {
+        // A dispatch with no buffered bytes is either the first request of
+        // the burst or a clean FIN from a parked peer; peek before parsing
+        // so a normal hangup is not answered with a 400.
+        let mut peek = MessageReader {
+            reader: conn.reader_mut(),
+            deadline: Instant::now() + limits.stall,
+            stall: Some(limits.stall),
+        };
+        if let Err(e) = peek.wait(|r| r.fill_buf().map(<[u8]>::len)) {
+            if matches!(e, ReadError::Timeout) {
+                metrics.stall_timeouts_closed.inc();
+            }
+            return None;
+        }
+    }
+    let error = match read_request_limited(conn.reader_mut(), limits) {
+        Ok(request) => return Some(request),
+        Err(error) => error,
+    };
+    if error.status == 408 {
+        metrics.stall_timeouts_closed.inc();
+    }
+    let body = json::obj(vec![
+        ("error", json::str(error.message)),
+        ("kind", json::str("http")),
+    ])
+    .render();
+    // A byte stream that failed to parse is not worth resynchronising:
+    // answer and close.  The worker moves on unharmed.
+    let _ = write_json_response(conn.stream_mut(), error.status, &body, false);
+    None
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -328,6 +535,7 @@ fn status_text(status: u16) -> &'static str {
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         502 => "Bad Gateway",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
@@ -382,23 +590,6 @@ pub fn write_json_response_with(
         status_text(status),
         body.len(),
         connection_header(keep_alive),
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
-}
-
-/// Writes a `503 Service Unavailable` with a `Retry-After` hint — the
-/// load-shedding response the acceptor sends when the worker queue is full.
-/// Kept separate from [`write_json_response`] because it is the one response
-/// written outside the worker pool and must carry the extra header.
-pub fn write_retry_after(
-    stream: &mut TcpStream,
-    retry_after_secs: u32,
-    body: &str,
-) -> std::io::Result<()> {
-    let response = format!(
-        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: {}\r\nRetry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
     );
     stream.write_all(response.as_bytes())?;
     stream.flush()
@@ -558,17 +749,7 @@ impl Client {
         close: bool,
         headers: &[(&str, &str)],
     ) -> std::io::Result<()> {
-        let connection = if close { "close" } else { "keep-alive" };
-        let mut extra = String::new();
-        for (name, value) in headers {
-            extra.push_str(&format!("{name}: {value}\r\n"));
-        }
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\nHost: client\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n{extra}Connection: {connection}\r\n\r\n{body}",
-            body.len()
-        );
-        self.reader.get_mut().write_all(request.as_bytes())
+        self.send_request_bytes(method, path, body.as_bytes(), close, headers)
     }
 
     /// Writes one keep-alive request.
@@ -578,6 +759,7 @@ impl Client {
 
     /// Writes one request with a raw byte body — the proxy path, where the
     /// router forwards a request body verbatim without asserting it is UTF-8.
+    /// This is the one request formatter: head and body leave in one write.
     pub fn send_request_bytes(
         &mut self,
         method: &str,
@@ -608,10 +790,27 @@ impl Client {
         &mut self.reader
     }
 
-    /// Reads the next response off the persistent connection, bounded by the
+    /// Reads the next response off the persistent connection — status line,
+    /// headers, then a `Content-Length` or chunked body — bounded by the
     /// response deadline.
     pub fn read(&mut self) -> Result<ClientResponse, String> {
-        read_client_response_deadline(&mut self.reader, Instant::now() + self.response_deadline)
+        let deadline = Instant::now() + self.response_deadline;
+        let head = read_response_head(&mut self.reader, deadline)?;
+        let mut body = Vec::new();
+        let mut message = MessageReader {
+            reader: &mut self.reader,
+            deadline,
+            stall: None,
+        };
+        message.body(head.framing, u64::MAX, &mut |piece| {
+            body.extend_from_slice(piece);
+            Ok(())
+        })?;
+        Ok(ClientResponse {
+            status: head.status,
+            headers: head.headers,
+            body,
+        })
     }
 
     /// One full exchange on the persistent connection.
@@ -638,15 +837,12 @@ impl Client {
         match self.reader.read(&mut byte) {
             Ok(0) => true,
             Ok(_) => false,
-            Err(e) => !matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ),
+            Err(e) => !is_stall_error(&e),
         }
     }
 }
 
-/// A client-side response, as read by [`read_client_response`].
+/// A client-side response, as read by [`Client::read`].
 #[derive(Debug)]
 pub struct ClientResponse {
     pub status: u16,
@@ -657,151 +853,11 @@ pub struct ClientResponse {
 
 impl ClientResponse {
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     pub fn body_str(&self) -> &str {
         std::str::from_utf8(&self.body).unwrap_or("")
-    }
-}
-
-/// Reads one HTTP response from a persistent connection: status line,
-/// headers, then a `Content-Length` or `Transfer-Encoding: chunked` body.
-/// Bounded by the default response deadline; see
-/// [`read_client_response_deadline`] for an explicit budget.
-pub fn read_client_response(reader: &mut BufReader<TcpStream>) -> Result<ClientResponse, String> {
-    read_client_response_deadline(reader, Instant::now() + CLIENT_RESPONSE_DEADLINE)
-}
-
-/// Arms the socket read timeout with the time left until `deadline` (capped
-/// at 1 s so each wait re-checks the budget promptly); a spent budget is the
-/// deadline error.
-fn arm_client_timeout(reader: &BufReader<TcpStream>, deadline: Instant) -> Result<(), String> {
-    let remaining = deadline
-        .checked_duration_since(Instant::now())
-        .filter(|d| !d.is_zero())
-        .ok_or("response deadline exceeded")?;
-    reader
-        .get_ref()
-        .set_read_timeout(Some(remaining.min(Duration::from_secs(1))))
-        .map_err(|e| format!("socket: {e}"))
-}
-
-fn client_read_error(e: std::io::Error, deadline: Instant) -> String {
-    if matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    ) && Instant::now() >= deadline
-    {
-        "response deadline exceeded".into()
-    } else {
-        format!("reading response: {e}")
-    }
-}
-
-/// Fills `buf` completely in deadline-checked steps — the client-side twin of
-/// the server's drip-feed defence: a peer trickling body bytes exhausts the
-/// response deadline instead of resetting a per-read timeout forever.
-fn read_exact_deadline(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> Result<(), String> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        arm_client_timeout(reader, deadline)?;
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Err("connection closed mid-response".into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(client_read_error(e, deadline)),
-        }
-    }
-    Ok(())
-}
-
-/// [`read_client_response`] with an explicit overall deadline covering the
-/// whole response — status line, headers and body.  This is the client half
-/// of the protocol, used by the keep-alive clients in
-/// `examples/serve_client.rs`, the `serve_load` generator and the
-/// integration tests.
-pub fn read_client_response_deadline(
-    reader: &mut BufReader<TcpStream>,
-    deadline: Instant,
-) -> Result<ClientResponse, String> {
-    let head = read_response_head(reader, deadline)?;
-    let chunked = head_is_chunked(&head);
-    let mut body = Vec::new();
-    if chunked {
-        loop {
-            let size_line = read_line_deadline(reader, deadline)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| format!("bad chunk size {size_line:?}"))?;
-            let mut chunk = vec![0u8; size + 2]; // chunk + trailing CRLF
-            read_exact_deadline(reader, &mut chunk, deadline)?;
-            if size == 0 {
-                break;
-            }
-            chunk.truncate(size);
-            body.extend_from_slice(&chunk);
-        }
-    } else {
-        let length = head_content_length(&head)?;
-        body = vec![0u8; length];
-        read_exact_deadline(reader, &mut body, deadline)?;
-    }
-    Ok(ClientResponse {
-        status: head.status,
-        headers: head.headers,
-        body,
-    })
-}
-
-/// One `\n`-terminated line off a response stream, collected via
-/// fill_buf/consume rather than `read_line`: `read_line` discards the bytes
-/// it already appended when a read times out, so a line arriving in trickles
-/// would silently lose its prefix between attempts.
-fn read_line_deadline(
-    reader: &mut BufReader<TcpStream>,
-    deadline: Instant,
-) -> Result<String, String> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        arm_client_timeout(reader, deadline)?;
-        let buf = match reader.fill_buf() {
-            Ok([]) => return Err("connection closed".into()),
-            Ok(buf) => buf,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(e) => return Err(client_read_error(e, deadline)),
-        };
-        let (chunk, done) = match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => (&buf[..=pos], true),
-            None => (buf, false),
-        };
-        if line.len() + chunk.len() > MAX_HEAD_BYTES {
-            return Err("response line exceeds the head budget".into());
-        }
-        line.extend_from_slice(chunk);
-        let consumed = chunk.len();
-        reader.consume(consumed);
-        if done {
-            return String::from_utf8(line).map_err(|_| "response is not UTF-8".into());
-        }
     }
 }
 
@@ -815,53 +871,44 @@ pub struct ResponseHead {
     pub status: u16,
     /// Lower-cased names with trimmed values, in arrival order.
     pub headers: Vec<(String, String)>,
+    /// How the still-unread body is delimited, decided with the head.
+    framing: Framing,
 }
 
 impl ResponseHead {
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 }
 
-fn head_is_chunked(head: &ResponseHead) -> bool {
-    head.header("transfer-encoding")
-        .is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
-}
-
-fn head_content_length(head: &ResponseHead) -> Result<usize, String> {
-    head.header("content-length")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| "response has neither Content-Length nor chunked encoding".into())
-}
-
 /// Reads one response head (status line + headers) off the stream, leaving
-/// the body unread.
+/// the body unread.  A head whose body framing is malformed or missing is an
+/// error here, before anything could be relayed.
 pub fn read_response_head(
     reader: &mut BufReader<TcpStream>,
     deadline: Instant,
 ) -> Result<ResponseHead, String> {
-    let status_line = read_line_deadline(reader, deadline)?;
-    let status: u16 = status_line
+    let mut message = MessageReader {
+        reader,
+        deadline,
+        stall: None,
+    };
+    let mut budget = MAX_HEAD_BYTES;
+    let status_line = message.line(&mut budget)?;
+    let status = status_line
         .split_whitespace()
         .nth(1)
-        .and_then(|s| s.parse().ok())
+        .and_then(decimal)
+        .and_then(|s| u16::try_from(s).ok())
         .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let mut headers = Vec::new();
-    loop {
-        let header = read_line_deadline(reader, deadline)?;
-        let trimmed = header.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    Ok(ResponseHead { status, headers })
+    let headers = message.fields(&mut budget)?;
+    let framing =
+        framing(&headers)?.ok_or("response has neither Content-Length nor chunked encoding")?;
+    Ok(ResponseHead {
+        status,
+        headers,
+        framing,
+    })
 }
 
 /// Why a [`relay_response`] failed — the two sides matter differently to a
@@ -885,10 +932,10 @@ impl std::fmt::Display for RelayError {
 
 /// Relays one already-read [`ResponseHead`] plus its still-unread body from
 /// `upstream` to `downstream`, preserving the body framing: a
-/// `Content-Length` body is copied in bounded buffers, a chunked body is
-/// re-framed chunk by chunk — a streamed upstream response stays streamed
-/// through the proxy, with peak memory one copy buffer regardless of body
-/// size.
+/// `Content-Length` body is copied in bounded buffers, and each decoded
+/// piece of a chunked body leaves in a chunk frame of its own — a streamed
+/// upstream response stays streamed through the proxy, with peak memory one
+/// copy buffer regardless of body size.
 ///
 /// Every upstream header is forwarded verbatim except `Connection`, which is
 /// rewritten for the *downstream* connection's keep-alive state (the two
@@ -920,58 +967,32 @@ pub fn relay_response(
         .write_all(out.as_bytes())
         .map_err(RelayError::Downstream)?;
 
-    if head_is_chunked(head) {
-        loop {
-            let size_line = read_line_deadline(upstream, deadline).map_err(RelayError::Upstream)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| RelayError::Upstream(format!("bad chunk size {size_line:?}")))?;
-            downstream
-                .write_all(format!("{size:x}\r\n").as_bytes())
-                .map_err(RelayError::Downstream)?;
-            // The chunk and its trailing CRLF; the zero-length terminator
-            // carries just the CRLF.
-            copy_exact(upstream, downstream, size + 2, deadline)?;
-            if size == 0 {
-                break;
-            }
+    let chunked = matches!(head.framing, Framing::Chunked);
+    let mut frame = Vec::new();
+    let mut message = MessageReader {
+        reader: upstream,
+        deadline,
+        stall: None,
+    };
+    let relayed = message.body(head.framing, u64::MAX, &mut |piece| {
+        if !chunked {
+            return downstream.write_all(piece);
         }
-    } else {
-        let length = head_content_length(head).map_err(RelayError::Upstream)?;
-        copy_exact(upstream, downstream, length, deadline)?;
+        frame.clear();
+        write!(frame, "{:x}\r\n", piece.len())?;
+        frame.extend_from_slice(piece);
+        frame.extend_from_slice(b"\r\n");
+        downstream.write_all(&frame)
+    });
+    match relayed {
+        Ok(()) => {}
+        Err(ReadError::Sink(e)) => return Err(RelayError::Downstream(e)),
+        Err(e) => return Err(RelayError::Upstream(e.into())),
+    }
+    if chunked {
+        downstream
+            .write_all(b"0\r\n\r\n")
+            .map_err(RelayError::Downstream)?;
     }
     downstream.flush().map_err(RelayError::Downstream)
-}
-
-/// Copies exactly `count` body bytes upstream → downstream through one
-/// bounded buffer, every read deadline-checked.
-fn copy_exact(
-    upstream: &mut BufReader<TcpStream>,
-    downstream: &mut TcpStream,
-    count: usize,
-    deadline: Instant,
-) -> Result<(), RelayError> {
-    let mut remaining = count;
-    let mut buf = [0u8; 16 * 1024];
-    while remaining > 0 {
-        arm_client_timeout(upstream, deadline).map_err(RelayError::Upstream)?;
-        let want = remaining.min(buf.len());
-        match upstream.read(&mut buf[..want]) {
-            Ok(0) => {
-                return Err(RelayError::Upstream("connection closed mid-body".into()));
-            }
-            Ok(n) => {
-                downstream
-                    .write_all(&buf[..n])
-                    .map_err(RelayError::Downstream)?;
-                remaining -= n;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(RelayError::Upstream(client_read_error(e, deadline))),
-        }
-    }
-    Ok(())
 }

@@ -32,7 +32,7 @@
 //! loop over a [`Conn`] (see `server::handle_connection`) and reports how
 //! the connection should continue via its [`Disposition`].
 
-use crate::http::write_retry_after;
+use crate::http::write_json_response_with;
 use crate::reactor::Reactor;
 use htc_metrics::{Counter, Gauge};
 use std::collections::{HashMap, VecDeque};
@@ -638,13 +638,8 @@ fn reject_peer_cap(mut stream: TcpStream, retry_after_secs: u32) {
          \"kind\":\"peer_connection_cap\",\"retry_after_ms\":{}}}",
         u64::from(retry_after_secs) * 1000,
     );
-    let response = format!(
-        "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nRetry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    use std::io::Write;
-    let _ = stream.write_all(response.as_bytes());
+    let retry_after = Some(u64::from(retry_after_secs));
+    let _ = write_json_response_with(&mut stream, 429, &body, false, retry_after);
 }
 
 /// Sheds one over-capacity connection: writes the `503 Retry-After`, sends
@@ -664,7 +659,8 @@ pub(crate) fn shed_conn(conn: Conn, retry_after_secs: u32, queue_depth: u64) {
          \"retry_after_ms\":{},\"queue_depth\":{queue_depth}}}",
         u64::from(retry_after_secs) * 1000,
     );
-    let written = write_retry_after(&mut rejected, retry_after_secs, &body);
+    let retry_after = Some(u64::from(retry_after_secs));
+    let written = write_json_response_with(&mut rejected, 503, &body, false, retry_after);
     if written.is_err() {
         return;
     }

@@ -37,8 +37,8 @@ use crate::cache::{attribute_fingerprint, ArtifactCache, CacheKey, DurableStore}
 use crate::fair::{FairnessConfig, PeerLimiter, SourceGate};
 use crate::fault::FaultPlan;
 use crate::http::{
-    begin_chunked_json, is_stall_error, read_request_limited, write_json_response,
-    write_json_response_with, HttpError, ReadLimits, Request,
+    begin_chunked_json, is_stall_error, read_dispatched_request, write_json_response,
+    write_json_response_with, ReadLimits, Request,
 };
 use crate::json::{self, Json};
 use crate::runtime::{
@@ -53,7 +53,6 @@ use htc_graph::io::read_network;
 use htc_graph::{AttributedNetwork, Graph};
 use htc_linalg::DenseMatrix;
 use htc_metrics::StageTimer;
-use std::io::BufRead;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -451,29 +450,6 @@ fn handle_connection(conn: &mut Conn, shared: &Arc<Shared>) -> Disposition {
     };
     let mut served_in_burst = 0u64;
     loop {
-        if !conn.has_buffered() {
-            // A dispatch with no buffered bytes is either the first request
-            // of the burst or a clean FIN from a parked peer; peek before
-            // parsing so a normal hangup is not answered with a 400.
-            let reader = conn.reader_mut();
-            if reader
-                .get_ref()
-                .set_read_timeout(Some(limits.stall))
-                .is_err()
-            {
-                return Disposition::Close;
-            }
-            match reader.fill_buf() {
-                Ok([]) => return Disposition::Close,
-                Ok(_) => {}
-                Err(e) => {
-                    if is_stall_error(&e) {
-                        shared.metrics.stall_timeouts_closed.inc();
-                    }
-                    return Disposition::Close;
-                }
-            }
-        }
         // First request of the burst: the budget covers queue wait (anchor =
         // the reactor's dispatch stamp) but not parked idle time, which is
         // the client's own.  Pipelined successors anchor at now.
@@ -482,23 +458,8 @@ fn handle_connection(conn: &mut Conn, shared: &Arc<Shared>) -> Disposition {
         } else {
             Instant::now()
         };
-        let request = match read_request_limited(conn.reader_mut(), &limits) {
-            Ok(request) => request,
-            Err(HttpError { status, message }) => {
-                if status == 408 {
-                    shared.metrics.stall_timeouts_closed.inc();
-                }
-                let body = json::obj(vec![
-                    ("error", json::str(message)),
-                    ("kind", json::str("http")),
-                ])
-                .render();
-                // A connection whose byte stream failed to parse is not worth
-                // resynchronising: answer and close.  The worker itself moves
-                // on to the next dispatched connection unharmed.
-                let _ = write_json_response(conn.stream_mut(), status, &body, false);
-                return Disposition::Close;
-            }
+        let Some(request) = read_dispatched_request(conn, &limits, &shared.metrics) else {
+            return Disposition::Close;
         };
         shared.metrics.total_requests.inc();
         let keep_alive = request.keep_alive && !shared.shutdown.is_triggered();
