@@ -417,7 +417,9 @@ impl MessageReader<'_> {
     }
 
     /// Hands exactly `count` body bytes to `sink`, one bounded buffer at a
-    /// time, so memory follows the bytes that arrived.
+    /// time, so memory follows the bytes that arrived.  Reads this large
+    /// bypass the connection's small read buffer once it is drained, so a
+    /// big body costs one read per 16 KiB rather than one per buffer fill.
     fn copy(
         &mut self,
         mut count: u64,
