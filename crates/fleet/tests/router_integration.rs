@@ -300,15 +300,16 @@ fn chunked_upstream_responses_relay_transparently() {
 }
 
 /// Writes `raw` on a fresh keep-alive connection and collects the status of
-/// every response that comes back before the connection closes or goes
-/// quiet for 300 ms.
+/// every response: the first may take up to 10 s, each later one must
+/// follow within 300 ms, until the connection closes or goes quiet.
 fn statuses(addr: SocketAddr, raw: &[u8]) -> Vec<u16> {
     let mut client = Client::connect(addr).unwrap();
-    client.set_response_deadline(Duration::from_millis(300));
     client.stream_mut().write_all(raw).unwrap();
+    client.set_response_deadline(Duration::from_secs(10));
     let mut statuses = Vec::new();
     while let Ok(response) = client.read() {
         statuses.push(response.status);
+        client.set_response_deadline(Duration::from_millis(300));
     }
     statuses
 }
